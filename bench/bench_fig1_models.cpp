@@ -88,7 +88,7 @@ main()
     for (const Row &row : rows) {
         rt::LPConfig cfg =
             rt::LPConfig::parse("reduc0-dep0-fn0", row.model);
-        rt::ProgramReport rep = lp.run(cfg);
+        rt::ProgramReport rep = lp.run({cfg}).front();
         const rt::LoopReport &lr = rep.loops.at(0);
         t.addRow({rt::execModelName(row.model),
                   std::to_string(lr.adjustedCost),

@@ -37,15 +37,14 @@ main()
         "179.art-like", "429.mcf-like", "450.soplex-like",
         "482.sphinx3-like"};
 
-    // Two runs per benchmark; each (program, config) pair is one task.
+    // Both configurations of a benchmark come from one engine pass;
+    // each program is one task.
     const std::size_t n = study.programs().size();
     std::vector<double> spAll(n), shAll(n);
-    exec::parallelFor(2 * n, [&](std::size_t i) {
-        const auto &prog = study.programs()[i / 2];
-        if (i % 2 == 0)
-            spAll[i / 2] = prog->run(pdoall).speedup();
-        else
-            shAll[i / 2] = prog->run(helix).speedup();
+    exec::parallelFor(n, [&](std::size_t i) {
+        const auto reps = study.programs()[i]->run({pdoall, helix});
+        spAll[i] = reps[0].speedup();
+        shAll[i] = reps[1].speedup();
     });
 
     TextTable t({"benchmark", "suite", "PDOALL best", "HELIX best",

@@ -6,37 +6,77 @@
  * run-time tracking overhead low enough to "scale to large applications".
  * These benchmarks measure the moving parts of this implementation:
  * interpreter throughput with and without a listener, full limit-study
- * throughput, predictor cost, and the compile-time component itself.
+ * throughput, predictor cost, the compile-time component itself, and
+ * the run_study sweep end to end.  perfbench/ (BENCHMARK.json) is the
+ * measure of record for the sweep; this binary keeps the micro view.
  */
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <chrono>
 #include <iostream>
+#include <sstream>
 #include <thread>
 
 #include "common.hpp"
 #include "core/driver.hpp"
+#include "core/sweep.hpp"
 #include "exec/pool.hpp"
+#include "guard/budget.hpp"
 #include "interp/machine.hpp"
 #include "ir/builder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timer.hpp"
 #include "predict/predictor.hpp"
 #include "prof/collector.hpp"
-#include "rt/tracker.hpp"
 #include "suites/kernels.hpp"
 
 namespace {
 
 using namespace lp;
 
+/** runSweep prints its table; the benchmarks only want its document. */
+class CoutSilencer
+{
+  public:
+    CoutSilencer() : old_(std::cout.rdbuf(sink_.rdbuf())) {}
+    ~CoutSilencer() { std::cout.rdbuf(old_); }
+
+  private:
+    std::ostringstream sink_;
+    std::streambuf *old_;
+};
+
+/**
+ * One run_study-shaped sweep of the cint2000 suite (all 14 paper
+ * configurations) on @p jobs workers, from fresh programs, as
+ * run_study runs it; returns the dynamic instructions it modelled.
+ */
+std::uint64_t
+sweepCint2000(unsigned jobs)
+{
+    exec::setJobsOverride(jobs);
+    core::SweepRequest req;
+    req.suite = "cint2000";
+    req.wantJson = true;
+    core::SweepResult res;
+    {
+        CoutSilencer quiet;
+        res = core::runSweep(suites::allPrograms(), req);
+    }
+    exec::setJobsOverride(0);
+    std::uint64_t instructions = 0;
+    const obs::Json &reports = res.document.at("reports");
+    for (std::size_t i = 0; i < reports.size(); ++i)
+        instructions += reports.at(i).at("serial_cost").asU64();
+    return instructions;
+}
+
 /** Plain interpretation, no instrumentation. */
 void
 BM_InterpreterBare(benchmark::State &state)
 {
-    auto mod = suites::buildEembcRgbcmyk();
+    auto mod = suites::buildCint2000Bzip2();
     std::uint64_t instructions = 0;
     for (auto _ : state) {
         interp::Machine m(*mod);
@@ -52,7 +92,7 @@ BENCHMARK(BM_InterpreterBare)->Unit(benchmark::kMillisecond);
 void
 BM_InterpreterNullListener(benchmark::State &state)
 {
-    auto mod = suites::buildEembcRgbcmyk();
+    auto mod = suites::buildCint2000Bzip2();
     interp::ExecListener nop;
     std::uint64_t instructions = 0;
     for (auto _ : state) {
@@ -65,17 +105,22 @@ BM_InterpreterNullListener(benchmark::State &state)
 }
 BENCHMARK(BM_InterpreterNullListener)->Unit(benchmark::kMillisecond);
 
-/** Full limit study (tracking + models) on a conflict-heavy kernel. */
+/**
+ * Full limit study (record + one engine pass + report) on a
+ * conflict-heavy kernel, with a fresh driver per iteration so every
+ * iteration pays its recording — the same program the interpreter
+ * benchmarks above run, so the two compare.
+ */
 void
 BM_FullLimitStudy(benchmark::State &state)
 {
     auto mod = suites::buildCint2000Bzip2();
-    core::Loopapalooza lp(*mod);
     rt::LPConfig cfg =
         rt::LPConfig::parse("reduc0-dep2-fn2", rt::ExecModel::Helix);
     std::uint64_t instructions = 0;
     for (auto _ : state) {
-        rt::ProgramReport rep = lp.run(cfg);
+        core::Loopapalooza lp(*mod);
+        rt::ProgramReport rep = lp.run({cfg}).front();
         benchmark::DoNotOptimize(rep.parallelCost);
         instructions += rep.serialCost;
     }
@@ -125,32 +170,16 @@ BM_KernelConstruction(benchmark::State &state)
 BENCHMARK(BM_KernelConstruction)->Unit(benchmark::kMillisecond);
 
 /**
- * Config-sweep scaling: the paper's 14 configurations over one suite on
- * N workers (Arg).  Arg(1) is the serial baseline; the acceptance bar
- * for lp::exec is >= 2x wall-clock improvement at Arg(4).
+ * Sweep scaling: run_study's cint2000 sweep (14 configurations) on N
+ * workers (Arg), from fresh programs each iteration.  Arg(1) is the
+ * serial baseline.
  */
 void
 BM_SuiteSweep(benchmark::State &state)
 {
-    static const core::Study study(suites::nonNumericPrograms(),
-                                   /*jobs=*/1);
-    std::vector<rt::LPConfig> configs;
-    for (const auto &named : core::paperConfigs())
-        configs.push_back(named.config);
     const unsigned jobs = static_cast<unsigned>(state.range(0));
-
-    for (auto _ : state) {
-        std::vector<double> speedups(configs.size());
-        exec::parallelFor(
-            configs.size(),
-            [&](std::size_t i) {
-                auto reports = study.runSuite("cint2000", configs[i],
-                                              /*jobs=*/1);
-                speedups[i] = core::Study::geomeanSpeedup(reports);
-            },
-            jobs);
-        benchmark::DoNotOptimize(speedups.data());
-    }
+    for (auto _ : state)
+        benchmark::DoNotOptimize(sweepCint2000(jobs));
     state.counters["jobs"] = static_cast<double>(jobs);
 }
 BENCHMARK(BM_SuiteSweep)
@@ -158,41 +187,6 @@ BENCHMARK(BM_SuiteSweep)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
-
-/**
- * Record-once / replay-many vs interpret-every-cell, sweep-shaped: one
- * program under all of the paper's configurations, serially.  Arg(0)
- * interprets every cell; Arg(1) pays the interpreter once (the
- * recording) and replays the trace for every cell.  A fresh driver per
- * iteration keeps the comparison honest — the replay side re-records
- * every time, exactly like a fresh sweep process would.
- */
-void
-BM_ConfigSweepPerProgram(benchmark::State &state)
-{
-    auto mod = suites::buildCint2000Bzip2();
-    std::vector<rt::LPConfig> configs;
-    for (const auto &named : core::paperConfigs())
-        configs.push_back(named.config);
-    const bool replay = state.range(0) != 0;
-
-    std::uint64_t instructions = 0;
-    for (auto _ : state) {
-        core::Loopapalooza driver(*mod);
-        for (const rt::LPConfig &c : configs) {
-            rt::ProgramReport rep =
-                replay ? driver.runReplay(c) : driver.run(c);
-            benchmark::DoNotOptimize(rep.parallelCost);
-            instructions += rep.serialCost;
-        }
-    }
-    state.counters["cell_instr/s"] = benchmark::Counter(
-        static_cast<double>(instructions), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_ConfigSweepPerProgram)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
 
 /**
  * Measure one phase: run @p body (which returns dynamic instructions
@@ -222,17 +216,15 @@ measurePhase(int reps, Body body)
 }
 
 /**
- * BENCH_framework.json: the repo's perf baseline.  Interpret and track
- * phases are measured with observability fully disabled (the default
- * configuration whose cost the ≤2% budget guards); one extra
- * instrumented run then populates the metrics snapshot.
+ * BENCH_framework.json: the repo's micro perf baseline.  Interpret and
+ * track phases run the same program with observability fully disabled
+ * (the default configuration whose cost the ≤2% budget guards); one
+ * extra instrumented run then populates the metrics snapshot.
  */
 void
 writeBenchBaseline()
 {
-    auto interpMod = suites::buildEembcRgbcmyk();
     auto trackMod = suites::buildCint2000Bzip2();
-    core::Loopapalooza driver(*trackMod);
     rt::LPConfig cfg =
         rt::LPConfig::parse("reduc0-dep2-fn2", rt::ExecModel::Helix);
 
@@ -240,47 +232,56 @@ writeBenchBaseline()
     doc.set("bench", "framework_perf");
     doc.set("cost_unit", "dynamic IR instructions");
 
+    doc.set("program", trackMod->name());
     doc.set("interpret", measurePhase(5, [&] {
-        interp::Machine m(*interpMod);
+        interp::Machine m(*trackMod);
         m.run();
         return m.cost();
     }));
     doc.set("track", measurePhase(5, [&] {
-        rt::ProgramReport rep = driver.run(cfg);
-        return rep.serialCost;
+        core::Loopapalooza driver(*trackMod);
+        return driver.run({cfg}).front().serialCost;
     }));
 
-    // Sweep scaling: the 14-config grid over one suite, serial vs 4
-    // workers vs all hardware threads.  "speedup_4j" is the wall-clock
-    // ratio the lp::exec layer is accountable for (acceptance: >= 3x on
-    // a 4-core runner); "instr_per_sec_per_worker" is the collapse
-    // detector — per-worker throughput holding roughly flat as workers
-    // are added is what distinguishes real scaling from workers
-    // fighting over the allocator.
+    // The engine's parts on the same program, timed directly: the
+    // recording, one 14-lane pass replaying it, and one 14-lane pass
+    // fed live by the interpreter (what a recording over the trace
+    // byte budget costs instead).
     {
-        core::Study study(suites::nonNumericPrograms(), /*jobs=*/1);
         std::vector<rt::LPConfig> configs;
         for (const auto &named : core::paperConfigs())
             configs.push_back(named.config);
-        auto sweepOnce = [&](unsigned jobs) {
-            std::uint64_t instructions = 0;
-            std::vector<std::uint64_t> perConfig(configs.size());
-            exec::parallelFor(
-                configs.size(),
-                [&](std::size_t i) {
-                    std::uint64_t serial = 0;
-                    for (const auto &rep :
-                         study.runSuite("cint2000", configs[i], 1))
-                        serial += rep.serialCost;
-                    perConfig[i] = serial;
-                },
-                jobs);
-            for (std::uint64_t c : perConfig)
-                instructions += c;
-            return instructions;
-        };
+        core::Loopapalooza recorded(*trackMod);
+        obs::Json engine = obs::Json::object();
+        engine.set("lanes", configs.size());
+        engine.set("record", measurePhase(5, [&] {
+            core::Loopapalooza driver(*trackMod);
+            return driver.trace().finalCost;
+        }));
+        engine.set("replay_pass", measurePhase(5, [&] {
+            return recorded.run(configs).front().serialCost;
+        }));
+        guard::RunBudget tiny = guard::defaultBudget();
+        tiny.maxTraceBytes = 1;
+        guard::setBudgetOverride(tiny);
+        core::Loopapalooza live(*trackMod);
+        engine.set("live_pass", measurePhase(5, [&] {
+            return live.run(configs).front().serialCost;
+        }));
+        guard::clearBudgetOverride();
+        doc.set("engine", std::move(engine));
+    }
+
+    // Sweep scaling: run_study's cint2000 sweep (14 configurations,
+    // fresh programs per run), serial vs 4 workers vs all hardware
+    // threads.  "instr_per_sec_per_worker" is the collapse detector —
+    // per-worker throughput holding roughly flat as workers are added
+    // is what distinguishes real scaling from workers fighting over
+    // the allocator.
+    {
         auto measureSweep = [&](unsigned jobs) {
-            obs::Json j = measurePhase(3, [&] { return sweepOnce(jobs); });
+            obs::Json j =
+                measurePhase(3, [&] { return sweepCint2000(jobs); });
             j.set("workers", jobs);
             j.set("instr_per_sec_per_worker",
                   j.at("instr_per_sec").asDouble() /
@@ -317,109 +318,17 @@ writeBenchBaseline()
         doc.set("sweep", std::move(sweep));
     }
 
-    // Record-once / replay-many: the 14-config grid over one suite,
-    // serial, fresh drivers per measurement so the replay side pays its
-    // recording every time.  "speedup" is the per-cell replay ratio,
-    // "speedup_batched" the decode-once SoA batch ratio the trace
-    // subsystem is accountable for (targets: >= 3x and >= 10x).
+    // Contention baseline (lp::prof): the same sweep, once serial and
+    // once on 4 workers, with lock-site telemetry and per-worker
+    // utilization recording.  Runs after every timing section above so
+    // profiler overhead cannot perturb them; the next scaling fix shows
+    // up here as lock-wait ns moving, not as a guess.
     {
-        std::vector<std::unique_ptr<ir::Module>> mods;
-        for (const auto &prog : suites::nonNumericPrograms())
-            mods.push_back(prog.build());
-        std::vector<rt::LPConfig> configs;
-        for (const auto &named : core::paperConfigs())
-            configs.push_back(named.config);
-        auto sweepOnce = [&](bool replay) {
-            std::uint64_t instructions = 0;
-            for (const auto &mod : mods) {
-                core::Loopapalooza sweepDriver(*mod);
-                for (const rt::LPConfig &c : configs) {
-                    rt::ProgramReport rep = replay
-                                                ? sweepDriver.runReplay(c)
-                                                : sweepDriver.run(c);
-                    instructions += rep.serialCost;
-                }
-            }
-            return instructions;
-        };
-        // Batched replay: one decode of each program's trace serves the
-        // whole config grid (rt::replayLimitStudyBatched) — the
-        // decode-once mode runSweep uses by default.
-        auto batchedOnce = [&] {
-            std::uint64_t instructions = 0;
-            for (const auto &mod : mods) {
-                core::Loopapalooza sweepDriver(*mod);
-                for (const auto &rep :
-                     sweepDriver.runReplayBatched(configs))
-                    instructions += rep.serialCost;
-            }
-            return instructions;
-        };
-        // One-lane batches pay configs.size() decodes per program where
-        // the full batch pays one; the wall-clock difference is
-        // configs.size()-1 decodes, which prices the decode share of a
-        // per-cell replay (the fraction batching amortizes away).
-        auto oneLaneOnce = [&] {
-            std::uint64_t instructions = 0;
-            for (const auto &mod : mods) {
-                core::Loopapalooza sweepDriver(*mod);
-                for (const rt::LPConfig &c : configs)
-                    for (const auto &rep : sweepDriver.runReplayBatched(
-                             std::vector<rt::LPConfig>{c}))
-                        instructions += rep.serialCost;
-            }
-            return instructions;
-        };
-        obs::Json tr = obs::Json::object();
-        obs::Json interp =
-            measurePhase(3, [&] { return sweepOnce(false); });
-        obs::Json replay =
-            measurePhase(3, [&] { return sweepOnce(true); });
-        obs::Json batched = measurePhase(3, batchedOnce);
-        obs::Json oneLane = measurePhase(3, oneLaneOnce);
-        double si = interp.at("wall_seconds").asDouble();
-        double sr = replay.at("wall_seconds").asDouble();
-        double sb = batched.at("wall_seconds").asDouble();
-        double s1 = oneLane.at("wall_seconds").asDouble();
-        tr.set("cells", mods.size() * configs.size());
-        tr.set("interpret", std::move(interp));
-        tr.set("replay", std::move(replay));
-        tr.set("batched", std::move(batched));
-        tr.set("speedup", sr > 0 ? si / sr : 0.0);
-        tr.set("speedup_batched", sb > 0 ? si / sb : 0.0);
-        const double c = static_cast<double>(configs.size());
-        double decodeShare =
-            (c > 1 && s1 > 0) ? c * (s1 - sb) / ((c - 1.0) * s1) : 0.0;
-        tr.set("decode_share",
-               std::clamp(decodeShare, 0.0, 1.0));
-        doc.set("trace_replay", std::move(tr));
-    }
-
-    // Contention baseline (lp::prof): the same 14-config sweep, once
-    // serial and once on 4 workers, with lock-site telemetry and
-    // per-worker utilization recording.  Runs after every timing
-    // section above so profiler overhead cannot perturb them; the
-    // next scaling fix shows up here as lock-wait ns moving, not as a
-    // guess (ROADMAP "flat parallel scaling").
-    {
-        core::Study study(suites::nonNumericPrograms(), /*jobs=*/1);
-        std::vector<rt::LPConfig> configs;
-        for (const auto &named : core::paperConfigs())
-            configs.push_back(named.config);
         prof::Collector &collector = prof::Collector::instance();
         auto profiledSweep = [&](unsigned jobs) {
             collector.reset();
             collector.setEnabled(true);
-            collector.beginRegion();
-            exec::parallelFor(
-                configs.size(),
-                [&](std::size_t i) {
-                    auto reports =
-                        study.runSuite("cint2000", configs[i], 1);
-                    benchmark::DoNotOptimize(reports.data());
-                },
-                jobs);
-            collector.endRegion();
+            benchmark::DoNotOptimize(sweepCint2000(jobs));
             collector.setEnabled(false);
             obs::Json out = obs::Json::object();
             out.set("contention", collector.contentionJson());
@@ -440,9 +349,9 @@ writeBenchBaseline()
     obs::Registry::instance().resetAll();
     {
         core::Loopapalooza instrumented(*trackMod);
-        (void)instrumented.run(cfg);
-        (void)instrumented.run(rt::LPConfig::parse(
-            "reduc0-dep2-fn2", rt::ExecModel::PartialDoAll));
+        (void)instrumented.run(
+            {cfg, rt::LPConfig::parse("reduc0-dep2-fn2",
+                                      rt::ExecModel::PartialDoAll)});
     }
     obs::setMetricsEnabled(wasEnabled);
     doc.set("metrics", obs::Registry::instance().toJson());

@@ -98,7 +98,7 @@ main()
 
     TextTable t({"configuration", "speedup", "coverage"});
     for (const core::NamedConfig &named : core::paperConfigs()) {
-        rt::ProgramReport rep = lp.run(named.config);
+        rt::ProgramReport rep = lp.run({named.config}).front();
         t.addRow({named.label,
                   TextTable::num(rep.speedup()) + "x",
                   TextTable::num(rep.coverage * 100, 1) + "%"});

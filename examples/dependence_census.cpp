@@ -82,7 +82,7 @@ main(int argc, char **argv)
     // Dynamic view under the most observant configuration.
     rt::LPConfig cfg = rt::LPConfig::parse("reduc0-dep2-fn3",
                                            rt::ExecModel::PartialDoAll);
-    rt::ProgramReport rep = lp.run(cfg);
+    rt::ProgramReport rep = lp.run({cfg}).front();
     std::cout << "\n=== dynamic behaviour [" << cfg.str() << "] ===\n";
     rep.print(std::cout, /*perLoop=*/true);
 

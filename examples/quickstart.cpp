@@ -61,7 +61,7 @@ main()
                                 rt::ExecModel::PartialDoAll,
                                 rt::ExecModel::Helix}) {
         rt::LPConfig cfg = rt::LPConfig::parse("reduc0-dep0-fn0", model);
-        rt::ProgramReport rep = lp.run(cfg);
+        rt::ProgramReport rep = lp.run({cfg}).front();
         rep.print(std::cout, /*perLoop=*/true);
         std::cout << "\n";
     }

@@ -20,27 +20,13 @@
  *   --budget-instructions N          dynamic-IR-instruction fuel per run
  *   --budget-wall-ms N               wall-clock deadline per run
  *   --budget-heap-bytes N            simulated heap cap per run
- *   --budget-trace-bytes N           event-trace payload cap per recording
+ *   --budget-trace-bytes N           event-trace payload cap per recording;
+ *                                    a program whose recording outgrows
+ *                                    it is evaluated from a live run
+ *                                    instead (same reports)
  *                                    (or LP_BUDGET_* env; flags win)
  *
- * Performance (see docs/performance.md):
- *   --trace-replay / --no-trace-replay
- *   (or LP_TRACE_REPLAY=on|off)      record-once / replay-many sweeps:
- *                                    interpret each program once, replay
- *                                    its event trace for every other
- *                                    configuration cell.  Default on for
- *                                    sweeps; reports are byte-identical
- *                                    either way.  Single runs always
- *                                    interpret.
- *   --batch-replay / --no-batch
- *   (or LP_BATCH_REPLAY=on|off)      batched replay: when several cells
- *                                    of a program replay the same trace,
- *                                    decode it once and apply every
- *                                    event to all those configuration
- *                                    lanes in one SoA pass.  Default on
- *                                    (needs trace replay, off under
- *                                    --lint); reports are byte-identical
- *                                    either way.
+ * Checkpointing:
  *   --checkpoint PATH                append one JSONL line per finished
  *                                    sweep cell to PATH
  *   --resume                         reuse cells already in the
@@ -167,17 +153,6 @@ lintOne(const ir::Module &mod)
     return res;
 }
 
-/** Parse an on/off spelling; -1 when not understood. */
-int
-parseOnOff(const std::string &s)
-{
-    if (s == "on" || s == "1" || s == "true")
-        return 1;
-    if (s == "off" || s == "0" || s == "false")
-        return 0;
-    return -1;
-}
-
 rt::ExecModel
 parseModel(const std::string &s)
 {
@@ -265,7 +240,7 @@ runFile(const std::string &path, const std::string &flags,
     core::Loopapalooza lp(*mod);
     rt::LPConfig cfg = rt::LPConfig::parse(flags, parseModel(model));
     return reportOne(profiledSingleRun(path, "file", flags, [&] {
-        return g_lintMode != 0 ? lp.runWithOracle(cfg) : lp.run(cfg);
+        return lp.run({cfg}, g_lintMode != 0).front();
     }));
 }
 
@@ -288,8 +263,7 @@ runSingle(const std::string &name, const std::string &flags,
         }
         rt::LPConfig cfg = rt::LPConfig::parse(flags, parseModel(model));
         return reportOne(profiledSingleRun(name, prog.suite, flags, [&] {
-            return g_lintMode != 0 ? prepared.runWithOracle(cfg)
-                                   : prepared.run(cfg);
+            return prepared.run({cfg}, g_lintMode != 0).front();
         }));
     }
     std::cerr << "unknown benchmark: " << name << "\n";
@@ -332,30 +306,6 @@ main(int argc, char **argv)
     }
 
     core::SweepRequest sweep;
-    if (const char *env = std::getenv("LP_TRACE_REPLAY")) {
-        int v = parseOnOff(env);
-        if (v < 0)
-            obs::logMessage(obs::Level::Error,
-                            std::string("LP_TRACE_REPLAY value not "
-                                        "understood: ") +
-                                env + " (want on|off); trace replay "
-                                      "stays on",
-                            /*force=*/true);
-        else
-            sweep.traceReplay = v == 1;
-    }
-    if (const char *env = std::getenv("LP_BATCH_REPLAY")) {
-        int v = parseOnOff(env);
-        if (v < 0)
-            obs::logMessage(obs::Level::Error,
-                            std::string("LP_BATCH_REPLAY value not "
-                                        "understood: ") +
-                                env + " (want on|off); batched replay "
-                                      "stays on",
-                            /*force=*/true);
-        else
-            sweep.batchReplay = v == 1;
-    }
     // LP_PROFILE: same one-time-warning contract as LP_LOG/LP_TRACE/
     // LP_JOBS — an unrecognized value warns once and profiling stays
     // off; the --profile flag (parsed below) wins over the environment.
@@ -479,22 +429,6 @@ main(int argc, char **argv)
                           spec);
                 continue;
             }
-            if (a == "--trace-replay") {
-                sweep.traceReplay = true;
-                continue;
-            }
-            if (a == "--no-trace-replay") {
-                sweep.traceReplay = false;
-                continue;
-            }
-            if (a == "--batch-replay") {
-                sweep.batchReplay = true;
-                continue;
-            }
-            if (a == "--no-batch") {
-                sweep.batchReplay = false;
-                continue;
-            }
             if (a == "--jobs") {
                 std::string spec = value("--jobs");
                 unsigned n = 0;
@@ -513,6 +447,8 @@ main(int argc, char **argv)
                 exec::setJobsOverride(exec::resolveJobs(n));
                 continue;
             }
+            if (a.rfind("--", 0) == 0 && a != "--file")
+                fatal("unknown option: " + a);
             args.push_back(std::move(a));
         }
 

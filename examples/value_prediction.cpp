@@ -125,8 +125,8 @@ main()
 
         // And show the limit-study consequence.
         core::Loopapalooza lp(*mod);
-        rt::ProgramReport rep = lp.run(rt::LPConfig::parse(
-            "reduc0-dep2-fn0", rt::ExecModel::PartialDoAll));
+        rt::ProgramReport rep = lp.run({rt::LPConfig::parse(
+            "reduc0-dep2-fn0", rt::ExecModel::PartialDoAll)}).front();
         double loopSpeedup = 1.0;
         for (const auto &lr : rep.loops)
             if (lr.label.find("i.hdr") != std::string::npos)

@@ -40,43 +40,10 @@ PreparedProgram::PreparedProgram(const BenchProgram &prog) : prog_(prog)
     }
 }
 
-rt::ProgramReport
-PreparedProgram::run(const rt::LPConfig &cfg) const
-{
-    rt::ProgramReport rep = lp_->run(cfg);
-    rep.program = prog_.name;
-    return rep;
-}
-
-rt::ProgramReport
-PreparedProgram::runWithOracle(const rt::LPConfig &cfg) const
-{
-    rt::ProgramReport rep = lp_->runWithOracle(cfg);
-    rep.program = prog_.name;
-    return rep;
-}
-
-rt::ProgramReport
-PreparedProgram::runReplay(const rt::LPConfig &cfg) const
-{
-    rt::ProgramReport rep = lp_->runReplay(cfg);
-    rep.program = prog_.name;
-    return rep;
-}
-
-rt::ProgramReport
-PreparedProgram::runReplayWithOracle(const rt::LPConfig &cfg) const
-{
-    rt::ProgramReport rep = lp_->runReplayWithOracle(cfg);
-    rep.program = prog_.name;
-    return rep;
-}
-
 std::vector<rt::ProgramReport>
-PreparedProgram::runReplayBatched(
-    const std::vector<rt::LPConfig> &cfgs) const
+PreparedProgram::run(const std::vector<rt::LPConfig> &cfgs, bool oracle) const
 {
-    std::vector<rt::ProgramReport> reps = lp_->runReplayBatched(cfgs);
+    std::vector<rt::ProgramReport> reps = lp_->run(cfgs, oracle);
     for (rt::ProgramReport &rep : reps)
         rep.program = prog_.name;
     return reps;
@@ -174,11 +141,7 @@ Study::runSuite(const std::string &suite, const rt::LPConfig &cfg,
     }
     std::vector<rt::ProgramReport> out(members.size());
     auto runCell = [&](std::size_t i) {
-        if (opts.traceReplay)
-            return opts.oracle ? members[i]->runReplayWithOracle(cfg)
-                               : members[i]->runReplay(cfg);
-        return opts.oracle ? members[i]->runWithOracle(cfg)
-                           : members[i]->run(cfg);
+        return members[i]->run({cfg}, opts.oracle).front();
     };
 
     if (!opts.keepGoing) {

@@ -8,10 +8,9 @@
 #include "core/driver.hpp"
 #include "core/sweep.hpp"
 #include "exec/pool.hpp"
-#include "fuzz/mutate.hpp"
+#include "guard/budget.hpp"
 #include "guard/fault.hpp"
 #include "support/error.hpp"
-#include "trace/format.hpp"
 
 namespace lp::fuzz {
 
@@ -164,8 +163,7 @@ runDifferential(std::uint64_t seed, const DiffOptions &opts)
         // whose placement is only deterministic serially: run the
         // reduced repeat-determinism oracle instead of the cross-path
         // pairs (see header).
-        core::SweepRequest req = base;
-        req.traceReplay = true;
+        const core::SweepRequest &req = base;
         exec::setJobsOverride(1);
         std::string a =
             sweepOutcome(progs, req, opts.faultSite, opts.faultNth);
@@ -179,19 +177,25 @@ runDifferential(std::uint64_t seed, const DiffOptions &opts)
 
     exec::setJobsOverride(1);
 
-    // Pair 1: interpret every cell vs record-once/replay-many.
-    core::SweepRequest interp = base;
-    interp.traceReplay = false;
+    // Pair 1: live-fed vs trace-fed engine.  A one-byte trace budget
+    // truncates every recording, so that side evaluates each program
+    // from a live interpreter run instead of replaying its trace.
     core::SweepRequest replay = base;
-    replay.traceReplay = true;
-    std::string interpOut =
-        sweepOutcome(progs, interp, opts.faultSite, opts.faultNth);
     std::string replayOut =
         sweepOutcome(progs, replay, opts.faultSite, opts.faultNth);
-    comparePair(ctx, "interp-vs-replay", interpOut, replayOut);
+    {
+        const guard::RunBudget saved = guard::defaultBudget();
+        guard::RunBudget tiny = saved;
+        tiny.maxTraceBytes = 1;
+        guard::setBudgetOverride(tiny);
+        std::string liveOut =
+            sweepOutcome(progs, replay, opts.faultSite, opts.faultNth);
+        guard::setBudgetOverride(saved);
+        comparePair(ctx, "interp-vs-replay", liveOut, replayOut);
+    }
 
-    // Pair 2: one worker vs many.  The jobs-1 side is the replay run
-    // above; rerun with the override raised.
+    // Pair 2: one worker vs many.  The jobs-1 side is the trace-fed
+    // run above; rerun with the override raised.
     exec::setJobsOverride(opts.jobsN);
     std::string jobsNOut =
         sweepOutcome(progs, replay, opts.faultSite, opts.faultNth);
@@ -213,7 +217,6 @@ runDifferential(std::uint64_t seed, const DiffOptions &opts)
         removeSweepFiles(ck, opts.shards);
         for (unsigned i = 1; i <= opts.shards; ++i) {
             core::SweepRequest shard = base;
-            shard.traceReplay = true;
             shard.wantJson = false;
             shard.checkpointPath = ck;
             shard.shardIndex = i;
@@ -221,7 +224,6 @@ runDifferential(std::uint64_t seed, const DiffOptions &opts)
             sweepOutcome(progs, shard, opts.faultSite, opts.faultNth);
         }
         core::SweepRequest merge = base;
-        merge.traceReplay = true;
         merge.checkpointPath = ck;
         merge.shardCount = opts.shards;
         merge.merge = true;
@@ -241,7 +243,6 @@ runDifferential(std::uint64_t seed, const DiffOptions &opts)
             (scratch / ("resume_" + seedTag + ".jsonl")).string();
         removeSweepFiles(ck, 0);
         core::SweepRequest ckpt = base;
-        ckpt.traceReplay = true;
         ckpt.checkpointPath = ck;
         sweepOutcome(progs, ckpt, opts.faultSite, opts.faultNth);
         std::error_code tec;
@@ -262,7 +263,6 @@ runDifferential(std::uint64_t seed, const DiffOptions &opts)
     // outcome's exit code (compared against the expected-clean form).
     if (opts.lintOracle) {
         core::SweepRequest lint = base;
-        lint.traceReplay = true;
         lint.lintMode = 1;
         std::string lintOut =
             sweepOutcome(progs, lint, opts.faultSite, opts.faultNth);
@@ -285,8 +285,11 @@ runDifferential(std::uint64_t seed, const DiffOptions &opts)
             auto mod = generateProgram(seed, opts.gen);
             core::Loopapalooza lp(*mod);
             for (const char *flags : {"reduc1-dep2-fn0", "reduc0-dep0-fn0"}) {
-                rt::ProgramReport rep = lp.runWithOracle(rt::LPConfig::parse(
-                    flags, rt::ExecModel::PartialDoAll));
+                rt::ProgramReport rep =
+                    lp.run({rt::LPConfig::parse(
+                               flags, rt::ExecModel::PartialDoAll)},
+                           /*oracle=*/true)
+                        .front();
                 if (rep.verdictContradictions == 0)
                     continue;
                 std::string detail = "[" + std::string(flags) + "] ";
@@ -310,74 +313,9 @@ runDifferential(std::uint64_t seed, const DiffOptions &opts)
         }
     }
 
-    // Pair 7: batched replay vs per-cell replay.  replayOut above ran
-    // the default decode-once SoA batch path (SweepRequest.batchReplay);
-    // the --no-batch side decodes the trace once per cell.  Reports
-    // must match byte for byte — this is the whole-batch-engine oracle
-    // (tests/test_batch.cpp is the unit version; this runs it over
-    // every generated program, and transitively against interpret via
-    // pair 1).
-    {
-        core::SweepRequest nobatch = base;
-        nobatch.traceReplay = true;
-        nobatch.batchReplay = false;
-        std::string nobatchOut =
-            sweepOutcome(progs, nobatch, opts.faultSite, opts.faultNth);
-        comparePair(ctx, "batched-vs-per-cell-replay", replayOut,
-                    nobatchOut);
-    }
-
     exec::setJobsOverride(0);
     if (faulted)
         guard::setFault("", 0);
-    return failures;
-}
-
-std::vector<DiffFailure>
-runCorruption(std::uint64_t seed, unsigned mutations, const GenOptions &gen)
-{
-    std::vector<DiffFailure> failures;
-    std::unique_ptr<ir::Module> mod;
-    std::unique_ptr<core::Loopapalooza> lp;
-    const trace::Trace *clean = nullptr;
-    try {
-        mod = generateProgram(seed, gen);
-        lp = std::make_unique<core::Loopapalooza>(*mod);
-        clean = &lp->trace();
-    }
-    catch (const Error &) {
-        // Recording legitimately failed (e.g. trace-byte budget):
-        // nothing to corrupt for this seed.
-        return failures;
-    }
-    std::vector<std::uint8_t> blob = trace::serialize(*clean);
-
-    for (unsigned k = 0; k < mutations; ++k) {
-        Mutation m = drawMutation(seed * 131 + k, blob.size());
-        std::vector<std::uint8_t> bad = applyMutation(blob, m);
-        try {
-            trace::Trace parsed = trace::deserialize(bad);
-            if (!(parsed == *clean))
-                failures.push_back(
-                    {seed, "trace-corruption",
-                     m.describe() +
-                         ": deserialize accepted a mutated blob that "
-                         "decodes to a different trace",
-                     reproLineFor(seed)});
-            // else: the mutation was a no-op (e.g. ByteSet writing the
-            // byte that was already there) — accepting it is correct.
-        }
-        catch (const Error &) {
-            // Categorized rejection (LP_IO &c): the contract.
-        }
-        catch (const std::exception &e) {
-            failures.push_back({seed, "trace-corruption",
-                                m.describe() +
-                                    ": uncategorized exception: " +
-                                    e.what(),
-                                reproLineFor(seed)});
-        }
-    }
     return failures;
 }
 

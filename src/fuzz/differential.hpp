@@ -3,17 +3,17 @@
  * Differential oracles (`lp::fuzz`).
  *
  * The framework promises that one program produces byte-identical
- * reports whichever way it is driven: interpret vs trace replay,
- * one worker vs many, sharded-and-merged vs unsharded, killed-and-
- * resumed vs straight-through, batched (decode-once SoA) replay vs
- * per-cell replay — and that lint's static classification agrees with
- * the dynamic oracle.  Each generated program is pushed
+ * reports whichever way it is driven: the engine fed live by the
+ * interpreter vs fed from the recorded trace, one worker vs many,
+ * sharded-and-merged vs unsharded, killed-and-resumed vs
+ * straight-through — and that lint's static classification agrees
+ * with the dynamic oracle.  Each generated program is pushed
  * through every pair and any divergence is a harness failure carrying
  * the reproducing seed and the exact CLI line to replay it.
  *
  * Fault-schedule composition (`lp_fuzz --fault-schedule site:nth`):
- * transient sites (io, replay) are healed by retry / the replay
- * fallback, so byte-identity must survive them — the pairs run
+ * transient sites (io, replay) are healed by retry, so byte-identity
+ * must survive them — the pairs run
  * unchanged with the fault re-armed before each side.  Non-transient
  * sites kill cells outright at a process-wide nth hit, whose placement
  * is only deterministic serially; those schedules run a reduced
@@ -63,18 +63,6 @@ struct DiffOptions
  */
 std::vector<DiffFailure> runDifferential(std::uint64_t seed,
                                          const DiffOptions &opts = {});
-
-/**
- * Corruption oracle: record the seed's trace, serialize it, apply
- * @p mutations seeded byte mutations, and require every mutated blob
- * to be either rejected by trace::deserialize with a categorized
- * lp::Error or parsed back byte-identical (no-op mutation).  Any
- * accepted-but-divergent parse, uncategorized exception or crash is a
- * failure.
- */
-std::vector<DiffFailure> runCorruption(std::uint64_t seed,
-                                       unsigned mutations,
-                                       const GenOptions &gen = {});
 
 /** The one-command repro line every failure report carries. */
 std::string reproLineFor(std::uint64_t seed);

@@ -26,8 +26,7 @@ epochKindName(std::size_t k)
     switch (k) {
       case 0: return "interp";
       case 1: return "record";
-      case 2: return "replay";
-      case 3: return "replay_batch";
+      case 2: return "replay_batch";
     }
     return "?";
 }
@@ -57,7 +56,7 @@ Collector::Collector() : epochNanos_(steadyNanos())
     for (std::atomic<std::uint64_t> &lane : laneIdleSinceNs_)
         lane.store(0, std::memory_order_relaxed);
     for (EpochSlot &slot : epochs_)
-        for (std::size_t k = 0; k < 4; ++k) {
+        for (std::size_t k = 0; k < kNumEpochKinds; ++k) {
             slot.instructions[k].store(0, std::memory_order_relaxed);
             slot.wallNs[k].store(0, std::memory_order_relaxed);
         }
@@ -144,7 +143,7 @@ Collector::reset()
     for (std::atomic<std::uint64_t> &lane : laneIdleSinceNs_)
         lane.store(0, std::memory_order_relaxed);
     for (EpochSlot &slot : epochs_)
-        for (std::size_t k = 0; k < 4; ++k) {
+        for (std::size_t k = 0; k < kNumEpochKinds; ++k) {
             slot.instructions[k].store(0, std::memory_order_relaxed);
             slot.wallNs[k].store(0, std::memory_order_relaxed);
         }
@@ -294,7 +293,7 @@ Collector::workersJson() const
         // Epoch attribution for this lane, if any was collected.
         const EpochSlot &slot = epochs_[lane & (kMaxLanes - 1)];
         obs::Json ep = obs::Json::object();
-        for (std::size_t k = 0; k < 4; ++k) {
+        for (std::size_t k = 0; k < kNumEpochKinds; ++k) {
             std::uint64_t instr =
                 slot.instructions[k].load(std::memory_order_relaxed);
             std::uint64_t ns =
@@ -435,6 +434,30 @@ Collector::finish()
     return true;
 }
 
+std::uint64_t
+Collector::queueWaitBefore(unsigned worker, std::uint64_t startNs) const
+{
+    // Queue-wait is the lane's idle gap before this unit of work: from
+    // its previous unit's end — or the region start, for the lane's
+    // first one — to now.  Time the lane spent busy on earlier work is
+    // work, not waiting; billing it here is what once summed a 1.6 s
+    // region's queue-wait to 23 s.
+    const std::uint64_t region =
+        regionStartNs_.load(std::memory_order_relaxed);
+    const std::uint64_t idleSince =
+        laneIdleSinceNs_[worker & (kMaxLanes - 1)].load(
+            std::memory_order_relaxed);
+    const std::uint64_t waitBase = idleSince != 0 ? idleSince : region;
+    return region != 0 && startNs > waitBase ? startNs - waitBase : 0;
+}
+
+void
+Collector::laneIdleAt(unsigned worker, std::uint64_t endNs)
+{
+    laneIdleSinceNs_[worker & (kMaxLanes - 1)].store(
+        endNs, std::memory_order_relaxed);
+}
+
 // ------------------------------------------------------------ CellScope
 
 CellScope::CellScope(const std::string &program, const std::string &suite,
@@ -449,20 +472,7 @@ CellScope::CellScope(const std::string &program, const std::string &suite,
     rec_.config = config;
     rec_.worker = obs::threadLane();
     rec_.startNs = c.nowNs();
-    // Queue-wait is the lane's idle gap before this cell: from its
-    // previous cell's end — or the region start, for the lane's first
-    // cell — to now.  Time the lane spent busy on earlier cells is
-    // work, not waiting; billing it here is what once summed a 1.6 s
-    // region's queue-wait to 23 s.
-    std::uint64_t region =
-        c.regionStartNs_.load(std::memory_order_relaxed);
-    std::uint64_t idleSince =
-        c.laneIdleSinceNs_[rec_.worker & (Collector::kMaxLanes - 1)].load(
-            std::memory_order_relaxed);
-    std::uint64_t waitBase = idleSince != 0 ? idleSince : region;
-    rec_.queueWaitNs = region != 0 && rec_.startNs > waitBase
-                           ? rec_.startNs - waitBase
-                           : 0;
+    rec_.queueWaitNs = c.queueWaitBefore(rec_.worker, rec_.startNs);
     rec_.status = "failed"; // an unwound scope records a failed cell
     lockWait0_ = threadLockWaitNs();
 }
@@ -475,8 +485,7 @@ CellScope::~CellScope()
     std::uint64_t end = c.nowNs();
     rec_.wallNs = end - rec_.startNs;
     rec_.lockWaitNs = threadLockWaitNs() - lockWait0_;
-    c.laneIdleSinceNs_[rec_.worker & (Collector::kMaxLanes - 1)].store(
-        end, std::memory_order_relaxed);
+    c.laneIdleAt(rec_.worker, end);
     c.recordCell(rec_);
 }
 
@@ -499,6 +508,77 @@ CellScope::setStatus(const std::string &status)
 {
     if (active_)
         rec_.status = status;
+}
+
+// ------------------------------------------------------------ TaskScope
+
+TaskScope::TaskScope() : active_(profilingOn())
+{
+    if (!active_)
+        return;
+    Collector &c = Collector::instance();
+    worker_ = obs::threadLane();
+    startNs_ = c.nowNs();
+    queueWaitNs_ = c.queueWaitBefore(worker_, startNs_);
+    lockWait0_ = threadLockWaitNs();
+}
+
+TaskScope::~TaskScope()
+{
+    if (!active_ || lanes_.empty())
+        return;
+    Collector &c = Collector::instance();
+    const std::uint64_t end = c.nowNs();
+    const std::uint64_t n = lanes_.size();
+    const std::uint64_t wall = end - startNs_;
+    const std::uint64_t lockWait = threadLockWaitNs() - lockWait0_;
+    for (std::uint64_t i = 0; i < n; ++i) {
+        CellRecord &rec = lanes_[i];
+        // Lane i's share tiles [start, end): remainders go to the last.
+        rec.startNs = startNs_ + wall / n * i;
+        rec.wallNs = i + 1 == n ? end - rec.startNs : wall / n;
+        rec.queueWaitNs = i == 0 ? queueWaitNs_ : 0;
+        rec.lockWaitNs = lockWait / n + (i + 1 == n ? lockWait % n : 0);
+        rec.attempts = attempts_;
+        rec.status = status_;
+        c.recordCell(rec);
+    }
+    c.laneIdleAt(worker_, end);
+}
+
+void
+TaskScope::addCell(const std::string &program, const std::string &suite,
+                   const std::string &config)
+{
+    if (!active_)
+        return;
+    CellRecord rec;
+    rec.program = program;
+    rec.suite = suite;
+    rec.config = config;
+    rec.worker = worker_;
+    lanes_.push_back(std::move(rec));
+}
+
+void
+TaskScope::setInstructions(std::size_t lane, std::uint64_t n)
+{
+    if (active_)
+        lanes_[lane].instructions = n;
+}
+
+void
+TaskScope::setAttempts(unsigned n)
+{
+    if (active_)
+        attempts_ = n;
+}
+
+void
+TaskScope::setStatus(const std::string &status)
+{
+    if (active_)
+        status_ = status;
 }
 
 } // namespace lp::prof

@@ -5,8 +5,9 @@
  *
  * The compile-time component claims some header phis are SCEV-computable
  * (pure functions of the iteration index).  When a capture is attached,
- * rt::LoopRuntime streams every resolved value of the watched phis
- * through an order-(depth+1) finite-difference check: a phi whose
+ * the limit-study engine (rt/engine.hpp) streams every resolved value of
+ * the watched phis through an order-(depth+1) finite-difference check
+ * — one capture per engine pass, shared by all its lanes: a phi whose
  * evolution really is a degree-depth polynomial recurrence has an
  * identically-zero (depth+1)-th difference (all arithmetic mod 2^64,
  * matching the interpreter).  The check is O(1) memory per instance and
@@ -133,7 +134,7 @@ class OracleCapture
     const Stats &stats(unsigned i) const { return stats_[i]; }
 
     /**
-     * Test hook: make LoopRuntime register @p phi — normally a tracked,
+     * Test hook: make the engine register @p phi — normally a tracked,
      * non-computable LCD — as *claimed computable* (depth 1), so a run
      * over a genuinely unpredictable phi forces an oracle mismatch
      * end-to-end.

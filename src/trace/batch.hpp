@@ -1,31 +1,29 @@
 /**
  * @file
- * Threaded-code dispatch table + decode-once trace walker for batched
- * replay.
+ * The per-block dispatch table and the one trace decoder.
  *
- * A sweep replays the same LPTR trace once per configuration cell, so a
- * 196-cell grid decodes every payload byte 196 times and re-resolves the
- * same block-id facts 196 times.  This header provides the two pieces
- * that amortize that work to once per *program*:
+ * A recorded trace names blocks, functions and instructions by the
+ * dense ids of trace::ModuleIndex.  This header provides the two
+ * pieces that turn such a stream into fully resolved events, once per
+ * program and pass:
  *
- *  - BatchDispatchTable: the per-block-id facts the replay hot loop
- *    needs (owning function id, instruction count, flat instruction
- *    pointers, pre-resolved external-call charges), lowered from the
- *    ModuleIndex into dense parallel arrays — a threaded-code table
- *    indexed directly by the ids the trace carries, replacing the
- *    per-event hash probes and virtual calls of the generic path.
+ *  - BatchDispatchTable: every per-block-id fact the limit-study
+ *    engine needs (owning function id, instruction count, flat
+ *    instruction pointers, pre-resolved external-call charges, and —
+ *    filled in by rt::buildDispatchTable from the compile-time plan —
+ *    the loop the block heads and the register-def watches sampled in
+ *    it), lowered into dense arrays indexed directly by the ids the
+ *    trace carries.  It is the only per-block table; the live
+ *    interpreter feed resolves blocks through it too.
  *
  *  - replayDispatch(): decode the payload exactly once and drive a Sink
  *    with fully-resolved events (instruction pointers, reconstructed
- *    clock / stack-pointer / precise-cost samples).  The walker owns the
- *    structural validation — it raises the same lp::IoError diagnostics,
- *    under the same conditions, as LoopRuntime::consumeTrace, so a
- *    corrupt trace fails identically whether it is replayed per cell or
- *    batched (the fuzz corruption oracle depends on this).
+ *    clock / stack-pointer / precise-cost samples), validating the
+ *    stream's structure as it goes.
  *
  * The Sink is a template parameter so the per-event callbacks inline
- * into the decode loop; rt's batched replayer (rt/batch.cpp) applies
- * each resolved event to N configuration lanes in one SoA pass.
+ * into the decode loop; rt's lane engine (rt/engine.cpp) applies each
+ * resolved event to up to 64 configuration lanes in one SoA pass.
  */
 
 #pragma once
@@ -42,10 +40,10 @@
 namespace lp::trace {
 
 /**
- * Per-block replay facts flattened into arrays indexed by the dense
- * trace ids, built once per program and shared read-only by every
- * batch.  `instrs`/`callCost` are block-major: block b's instruction i
- * lives at `blocks[b].firstInstr + i`.
+ * Per-block facts flattened into arrays indexed by the dense trace ids,
+ * built once per program and shared read-only by every pass.
+ * `instrs`/`callCost` are block-major: block b's instruction i lives at
+ * `blocks[b].firstInstr + i`.
  */
 struct BatchDispatchTable
 {
@@ -55,6 +53,22 @@ struct BatchDispatchTable
         std::uint32_t fnId = 0;      ///< owning function's trace id
         std::uint32_t firstInstr = 0; ///< into instrs / callCost
         std::uint32_t size = 0;       ///< instructions in the block
+        /** Ordinal of the loop this block heads; -1 = not a header. */
+        std::int32_t headerOrdinal = -1;
+        /** This block's def watches: defWatches[firstWatch, +numWatches). */
+        std::uint32_t firstWatch = 0;
+        std::uint32_t numWatches = 0;
+    };
+
+    /**
+     * A def site whose timestamp the engine samples on block entry:
+     * which loop (by ordinal) and which tracked-LCD slot it feeds.
+     */
+    struct DefWatch
+    {
+        std::uint32_t loopOrdinal = 0;
+        std::uint32_t regIndex = 0;
+        std::uint64_t offsetInBlock = 0;
     };
 
     std::vector<BlockInfo> blocks;            ///< by global block id
@@ -68,9 +82,14 @@ struct BatchDispatchTable
      * indirection out of the per-event loop.
      */
     std::vector<std::uint64_t> callCost;
+    /** Block-major def watches (see BlockInfo::firstWatch). */
+    std::vector<DefWatch> defWatches;
 };
 
-/** Lower @p index into the flat dispatch table (once per program). */
+/**
+ * Lower @p index into the flat dispatch table (once per program).  The
+ * loop facts stay empty; rt::buildDispatchTable fills them in.
+ */
 BatchDispatchTable buildBatchDispatchTable(const ModuleIndex &index);
 
 /**
@@ -90,13 +109,12 @@ BatchDispatchTable buildBatchDispatchTable(const ModuleIndex &index);
  *   void onStore(const ir::Instruction *i, std::uint64_t addr,
  *                std::uint64_t preciseNow);
  *
- * Clock reconstruction matches LoopRuntime::consumeTrace exactly:
- * block entry charges the block size, Charge events add out-of-band
- * cost, CallSite events add the pre-resolved external charge, and the
- * final clock is cross-checked against the recording.
+ * Clock reconstruction mirrors the Recorder: block entry charges the
+ * block size, Charge events add out-of-band cost, CallSite events add
+ * the pre-resolved external charge, and the final clock is
+ * cross-checked against the recording.
  *
- * @throws lp::IoError on any malformed or mismatched stream, with the
- *         same diagnostics as the per-cell replay path.
+ * @throws lp::IoError on any malformed or mismatched stream.
  */
 template <class Sink>
 void

@@ -20,15 +20,15 @@
  *
  * Filtering.  Only events the run-time component consumes are
  * recorded: phi resolutions are kept for loop-header blocks only
- * (LoopRuntime ignores all others), and call sites are kept for
+ * (the engine ignores all others), and call sites are kept for
  * external calls only (they carry cost; internal calls contribute
  * through their callee's block stream).
  *
  * Budget.  The stream is bounded by a byte cap (see
  * guard::RunBudget::maxTraceBytes).  On overflow the Recorder stops
- * appending and marks the trace truncated; replaying a truncated
- * trace fails with LP_IO so affected sweep cells quarantine instead
- * of reporting from a partial stream.
+ * appending and marks the trace truncated; the driver then drops the
+ * partial payload and evaluates the program from a live run instead
+ * (core::Loopapalooza::run).
  */
 
 #pragma once

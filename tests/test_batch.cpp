@@ -1,15 +1,12 @@
 /**
  * @file
- * Tests for batched multi-cell trace replay (src/trace/batch.* +
- * src/rt/batch.cpp + the core front ends).  The load-bearing property:
- * replaying one trace for N configurations in a single SoA pass
- * produces reports *byte-identical* — as serialized JSON — to replaying
- * (and hence interpreting) each configuration on its own, for every
- * program shape, every model, every ablation axis, and every lane
- * count including the 64-lane chunk boundary.  Also covered: the
- * IoError taxonomy (truncated and foreign traces fail a batch exactly
- * like a single cell), and the sweep driver's batch path agreeing with
- * --no-batch byte for byte.
+ * Tests for the lane engine's shape (src/rt/engine.* + the core front
+ * ends).  tests/test_golden.cpp pins the reports themselves; this file
+ * holds the properties around them: a configuration's report does not
+ * depend on how many lanes share its pass or where a 64-lane chunk
+ * boundary falls, a truncated recording is evaluated live with the
+ * same reports, malformed inputs fail with LP_IO, and the dispatch
+ * table covers the module.
  */
 
 #include <gtest/gtest.h>
@@ -22,10 +19,9 @@
 #include "core/driver.hpp"
 #include "core/study.hpp"
 #include "core/sweep.hpp"
-#include "fuzz/generator.hpp"
 #include "guard/budget.hpp"
 #include "helpers.hpp"
-#include "rt/replay.hpp"
+#include "rt/engine.hpp"
 #include "support/error.hpp"
 #include "trace/batch.hpp"
 #include "trace/format.hpp"
@@ -91,51 +87,28 @@ dump(const rt::ProgramReport &rep)
     return rep.toJson(/*withObsSnapshot=*/false).dump(2);
 }
 
-// --------------------------------------- batched == per-cell == interp
+std::vector<std::string>
+dumps(const std::vector<rt::ProgramReport> &reps)
+{
+    std::vector<std::string> out;
+    for (const rt::ProgramReport &rep : reps)
+        out.push_back(dump(rep));
+    return out;
+}
 
-TEST_F(BatchTest, BatchedReplayIsByteIdenticalAcrossShapesAndGrid)
+// ------------------------------------------- lane-count independence
+
+TEST_F(BatchTest, OneLanePassesMatchTheFullGridPass)
 {
     const std::vector<LPConfig> grid = fullGrid();
     for (auto &[name, mod] : allShapes()) {
         Loopapalooza lp(*mod);
-        std::vector<rt::ProgramReport> batched =
-            lp.runReplayBatched(grid);
+        const std::vector<std::string> batched = dumps(lp.run(grid));
         ASSERT_EQ(batched.size(), grid.size()) << name;
-        for (std::size_t i = 0; i < grid.size(); ++i) {
-            EXPECT_EQ(dump(batched[i]), dump(lp.runReplay(grid[i])))
-                << name << " lane " << i << " under " << grid[i].str();
-            EXPECT_EQ(dump(batched[i]), dump(lp.run(grid[i])))
-                << name << " lane " << i << " vs interpret under "
-                << grid[i].str();
-        }
-    }
-}
-
-TEST_F(BatchTest, BatchedReplayMatchesOnRandomPrograms)
-{
-    const std::vector<LPConfig> grid = fullGrid();
-    for (std::uint64_t seed : {1u, 7u, 23u, 51u, 94u}) {
-        auto mod = fuzz::generateProgram(seed);
-        Loopapalooza lp(*mod);
-        std::vector<rt::ProgramReport> batched =
-            lp.runReplayBatched(grid);
-        ASSERT_EQ(batched.size(), grid.size());
         for (std::size_t i = 0; i < grid.size(); ++i)
-            EXPECT_EQ(dump(batched[i]), dump(lp.runReplay(grid[i])))
-                << "seed " << seed << " lane " << i << " under "
-                << grid[i].str();
+            EXPECT_EQ(batched[i], dump(lp.run({grid[i]}).front()))
+                << name << " lane " << i << " under " << grid[i].str();
     }
-}
-
-TEST_F(BatchTest, SingleLaneBatchMatchesPerCell)
-{
-    auto mod = test::buildHistogram(64, 8);
-    Loopapalooza lp(*mod);
-    const LPConfig cfg =
-        LPConfig::parse("reduc1-dep1-fn2", ExecModel::Helix);
-    std::vector<rt::ProgramReport> batched = lp.runReplayBatched({cfg});
-    ASSERT_EQ(batched.size(), 1u);
-    EXPECT_EQ(dump(batched[0]), dump(lp.runReplay(cfg)));
 }
 
 TEST_F(BatchTest, ChunkBoundaryAt64LanesIsSeamless)
@@ -149,28 +122,47 @@ TEST_F(BatchTest, ChunkBoundaryAt64LanesIsSeamless)
     std::vector<LPConfig> many;
     for (int rep = 0; rep < 5; ++rep)
         many.insert(many.end(), grid.begin(), grid.end());
-    ASSERT_GT(many.size(), 64u);
+    ASSERT_GT(many.size(), rt::kMaxLanes);
 
-    std::vector<rt::ProgramReport> batched = lp.runReplayBatched(many);
+    const std::vector<std::string> batched = dumps(lp.run(many));
     ASSERT_EQ(batched.size(), many.size());
-    std::vector<std::string> percell;
-    for (const LPConfig &cfg : grid)
-        percell.push_back(dump(lp.runReplay(cfg)));
+    const std::vector<std::string> single = dumps(lp.run(grid));
     for (std::size_t i = 0; i < many.size(); ++i)
-        EXPECT_EQ(dump(batched[i]), percell[i % grid.size()])
-            << "lane " << i;
+        EXPECT_EQ(batched[i], single[i % grid.size()]) << "lane " << i;
 }
 
 TEST_F(BatchTest, EmptyConfigListYieldsNoReports)
 {
     auto mod = test::buildSaxpy(16);
     Loopapalooza lp(*mod);
-    EXPECT_TRUE(lp.runReplayBatched({}).empty());
+    EXPECT_TRUE(lp.run({}).empty());
+}
+
+// ----------------------------------------------------- live event feed
+
+TEST_F(BatchTest, TruncatedRecordingIsEvaluatedLiveWithTheSameReports)
+{
+    const std::vector<LPConfig> grid = fullGrid();
+    for (auto &[name, mod] : allShapes()) {
+        Loopapalooza replayed(*mod);
+        const std::vector<std::string> want =
+            dumps(replayed.run(grid, /*oracle=*/true));
+
+        guard::RunBudget b = guard::defaultBudget();
+        b.maxTraceBytes = 64;
+        guard::setBudgetOverride(b);
+        Loopapalooza live(*mod);
+        ASSERT_TRUE(live.trace().truncated) << name;
+        // The partial payload is dropped once truncation is known.
+        EXPECT_TRUE(live.trace().payload.empty()) << name;
+        EXPECT_EQ(dumps(live.run(grid, /*oracle=*/true)), want) << name;
+        guard::clearBudgetOverride();
+    }
 }
 
 // ------------------------------------------------------ error taxonomy
 
-TEST_F(BatchTest, BatchRejectsTruncatedTraces)
+TEST_F(BatchTest, EvaluateRejectsTruncatedTraces)
 {
     guard::RunBudget b = guard::defaultBudget();
     b.maxTraceBytes = 64;
@@ -180,23 +172,24 @@ TEST_F(BatchTest, BatchRejectsTruncatedTraces)
     Loopapalooza lp(*mod);
     ASSERT_TRUE(lp.trace().truncated);
     try {
-        lp.runReplayBatched(fullGrid());
-        FAIL() << "batch-replaying a truncated trace must throw";
+        rt::evaluate(lp.plan(), lp.traceIndex(), lp.dispatchTable(),
+                     &lp.trace(), fullGrid(), "truncated");
+        FAIL() << "replaying a truncated trace must throw";
     }
     catch (const IoError &e) {
         EXPECT_STREQ(e.codeName(), "LP_IO");
     }
 }
 
-TEST_F(BatchTest, BatchRejectsAForeignTrace)
+TEST_F(BatchTest, EvaluateRejectsAForeignTrace)
 {
     auto saxpy = test::buildSaxpy(32);
     auto sum = test::buildSumReduction(32);
     Loopapalooza lpa(*saxpy);
     Loopapalooza lpb(*sum);
-    EXPECT_THROW(rt::replayLimitStudyBatched(lpb.plan(), lpb.traceIndex(),
-                                             lpa.trace(), fullGrid(),
-                                             "mismatch"),
+    EXPECT_THROW(rt::evaluate(lpb.plan(), lpb.traceIndex(),
+                              lpb.dispatchTable(), &lpa.trace(),
+                              fullGrid(), "mismatch"),
                  IoError);
 }
 
@@ -209,21 +202,27 @@ TEST_F(BatchTest, DispatchTableCoversTheWholeModule)
     const trace::BatchDispatchTable &table = lp.dispatchTable();
     EXPECT_EQ(table.functions.size(), lp.traceIndex().numFunctions());
     EXPECT_EQ(table.blocks.size(), lp.traceIndex().numBlocks());
-    std::size_t instrs = 0;
+    std::size_t instrs = 0, headers = 0, watches = 0;
     for (const auto &bi : table.blocks) {
         ASSERT_NE(bi.bb, nullptr);
         EXPECT_EQ(bi.size, bi.bb->instructions().size());
+        EXPECT_EQ(bi.headerOrdinal, lp.plan().headerOrdinal(bi.bb));
+        EXPECT_EQ(bi.firstWatch, watches);
         instrs += bi.size;
+        headers += bi.headerOrdinal >= 0 ? 1 : 0;
+        watches += bi.numWatches;
     }
     EXPECT_EQ(table.instrs.size(), instrs);
     EXPECT_EQ(table.callCost.size(), instrs);
+    EXPECT_EQ(headers, lp.plan().numLoops());
+    EXPECT_EQ(table.defWatches.size(), watches);
 }
 
-// --------------------------------------------- sweep-level batch path
+// ------------------------------------------- sweep-level event sources
 
-TEST_F(BatchTest, SweepBatchPathMatchesNoBatchByteForByte)
+TEST_F(BatchTest, LiveFedSweepMatchesTheReplayedSweepByteForByte)
 {
-    auto sweepDoc = [&](bool batch) {
+    auto sweepDoc = [&](bool live) {
         std::vector<core::BenchProgram> progs;
         progs.push_back(
             {"saxpy", "unit", [] { return test::buildSaxpy(32); }});
@@ -231,11 +230,16 @@ TEST_F(BatchTest, SweepBatchPathMatchesNoBatchByteForByte)
             {"hist", "unit", [] { return test::buildHistogram(48, 8); }});
         progs.push_back({"chase", "unit",
                          [] { return test::buildPointerChase(32); }});
+        if (live) {
+            guard::RunBudget b = guard::defaultBudget();
+            b.maxTraceBytes = 1;
+            guard::setBudgetOverride(b);
+        }
         core::SweepRequest req;
         req.suite = "unit";
         req.wantJson = true;
-        req.batchReplay = batch;
         core::SweepResult res = core::runSweep(progs, req);
+        guard::clearBudgetOverride();
         EXPECT_EQ(res.exitCode, 0);
         EXPECT_TRUE(res.hasDocument);
         return res.document.dump(2);

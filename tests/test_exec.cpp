@@ -388,8 +388,9 @@ TEST(Determinism, StudyPreparationParallelMatchesSerial)
     for (std::size_t i = 0; i < serial.programs().size(); ++i) {
         EXPECT_EQ(serial.programs()[i]->name(),
                   parallel.programs()[i]->name());
-        EXPECT_EQ(serial.programs()[i]->run(cfg).toJson(false).dump(),
-                  parallel.programs()[i]->run(cfg).toJson(false).dump());
+        EXPECT_EQ(
+            serial.programs()[i]->run({cfg}).front().toJson(false).dump(),
+            parallel.programs()[i]->run({cfg}).front().toJson(false).dump());
     }
 }
 
@@ -408,7 +409,7 @@ TEST(Determinism, ConcurrentRunsOverOneDriverAgree)
     parallelFor(
         dumps.size(),
         [&](std::size_t i) {
-            dumps[i] = driver.run(cfg).toJson(false).dump();
+            dumps[i] = driver.run({cfg}).front().toJson(false).dump();
         },
         8);
     for (std::size_t i = 1; i < dumps.size(); ++i)

@@ -4,19 +4,16 @@
  *
  *  - generator: determinism, delegate compatibility, the dependence-
  *    class mix knob, option validation;
- *  - mutation: deterministic draws, the corruption oracle finds zero
- *    divergences on clean seeds (every mutated trace is rejected with
- *    a categorized LP_* error or is a byte-identical no-op);
- *  - differential: the five oracle pairs are clean on sample seeds,
+ *  - differential: the oracle pairs are clean on sample seeds,
  *    failures carry the one-command repro line;
  *  - minimizer: shrinks to the predicate's minimal option set and
  *    respects its evaluation budget;
  *  - corpus: entries re-parse, sidecars carry the repro line, and
  *    every checked-in tests/fuzz_corpus entry re-runs clean
  *    (the regression tier of the corpus workflow);
- *  - runSweep trace fallback: a truncated recording or an injected
- *    replay fault degrades cells to interpreting with a byte-identical
- *    document and bumps sweep.trace_fallbacks.
+ *  - runSweep event sources: a truncated recording makes every pass
+ *    run live with a byte-identical document (and bumps
+ *    sweep.trace_fallbacks); an injected replay fault heals by retry.
  */
 
 #include <filesystem>
@@ -30,7 +27,6 @@
 #include "fuzz/generator.hpp"
 #include "fuzz/harness.hpp"
 #include "fuzz/minimize.hpp"
-#include "fuzz/mutate.hpp"
 #include "generator.hpp"
 #include "guard/budget.hpp"
 #include "guard/checkpoint.hpp"
@@ -143,28 +139,6 @@ TEST_F(FuzzTest, InvalidOptionsThrowInternal)
     emptyRange.minOps = 5;
     emptyRange.maxOps = 4;
     EXPECT_THROW(fuzz::generateProgram(1, emptyRange), InternalError);
-}
-
-// ----------------------------------------------------------------- mutation
-
-TEST_F(FuzzTest, MutationDrawsAreDeterministic)
-{
-    for (std::uint64_t seed = 0; seed < 16; ++seed) {
-        fuzz::Mutation a = fuzz::drawMutation(seed, 1000);
-        fuzz::Mutation b = fuzz::drawMutation(seed, 1000);
-        EXPECT_EQ(a.describe(), b.describe());
-    }
-}
-
-TEST_F(FuzzTest, CorruptionOracleCleanOnSampleSeeds)
-{
-    for (std::uint64_t seed : {0ULL, 5ULL, 9ULL}) {
-        std::vector<fuzz::DiffFailure> fails =
-            fuzz::runCorruption(seed, 48);
-        for (const fuzz::DiffFailure &f : fails)
-            ADD_FAILURE() << f.oracle << ": " << f.detail << " ("
-                          << f.reproLine << ")";
-    }
 }
 
 // ------------------------------------------------------------- differential
@@ -287,8 +261,8 @@ TEST_F(FuzzTest, CorpusEntryRoundTrips)
 TEST_F(FuzzTest, CheckedInCorpusRegressionsStayClean)
 {
     // The regression tier of the corpus workflow: every .repro landed
-    // under tests/fuzz_corpus re-runs its seed through the corruption
-    // oracle and the differential pairs, and must stay clean.
+    // under tests/fuzz_corpus re-runs its seed through the differential
+    // pairs, and must stay clean.
     fs::path corpus = fs::path(LP_SOURCE_DIR) / "tests" / "fuzz_corpus";
     ASSERT_TRUE(fs::exists(corpus));
     unsigned entries = 0;
@@ -341,10 +315,6 @@ TEST_F(FuzzTest, CheckedInCorpusRegressionsStayClean)
              fuzz::runDifferential(seed, opts))
             ADD_FAILURE() << e.path().filename() << ": " << f.oracle
                           << ": " << f.detail;
-        for (const fuzz::DiffFailure &f :
-             fuzz::runCorruption(seed, 16, opts.gen))
-            ADD_FAILURE() << e.path().filename() << ": " << f.oracle
-                          << ": " << f.detail;
         // And the checked-in .lir still parses.
         fs::path lir = e.path();
         lir.replace_extension(".lir");
@@ -358,7 +328,7 @@ TEST_F(FuzzTest, CheckedInCorpusRegressionsStayClean)
     EXPECT_GE(entries, 1u) << "fuzz corpus should not be empty";
 }
 
-// ------------------------------------------------- runSweep trace fallback
+// ------------------------------------------------ runSweep event sources
 
 std::vector<core::BenchProgram>
 fallbackPrograms(std::uint64_t seed)
@@ -372,31 +342,30 @@ fallbackPrograms(std::uint64_t seed)
 }
 
 std::string
-sweepDump(const std::vector<core::BenchProgram> &progs, bool traceReplay)
+sweepDump(const std::vector<core::BenchProgram> &progs)
 {
     core::SweepRequest req;
     req.suite = "fuzz";
-    req.traceReplay = traceReplay;
     req.wantJson = true;
     core::SweepResult res = core::runSweep(progs, req);
     EXPECT_EQ(res.exitCode, 0);
     return res.document.dump(2);
 }
 
-TEST_F(FuzzTest, TruncatedTraceFallsBackToInterpretByteIdentically)
+TEST_F(FuzzTest, TruncatedTraceRunsLiveByteIdentically)
 {
     auto progs = fallbackPrograms(6);
-    const std::string reference = sweepDump(progs, /*traceReplay=*/false);
+    const std::string reference = sweepDump(progs);
 
-    // A 64-byte trace budget truncates every recording, so every
-    // replay cell must degrade to interpreting — with the document
-    // byte-identical to the interpret-only sweep.
+    // A 64-byte trace budget truncates every recording, so every pass
+    // must evaluate its program live — with the document
+    // byte-identical to the replayed sweep.
     guard::RunBudget b = guard::defaultBudget();
     b.maxTraceBytes = 64;
     guard::setBudgetOverride(b);
     obs::setMetricsEnabled(true);
     obs::Registry::instance().resetAll();
-    const std::string degraded = sweepDump(progs, /*traceReplay=*/true);
+    const std::string degraded = sweepDump(progs);
     std::uint64_t fallbacks = obs::Registry::instance()
                                   .counter("sweep.trace_fallbacks")
                                   .value();
@@ -406,16 +375,18 @@ TEST_F(FuzzTest, TruncatedTraceFallsBackToInterpretByteIdentically)
     // Metrics-on adds the metrics/phases sections to the document, so
     // compare the reports array only: re-run with metrics off.
     EXPECT_GT(fallbacks, 0u);
-    const std::string degradedQuiet = sweepDump(progs, true);
+    guard::setBudgetOverride(b);
+    const std::string degradedQuiet = sweepDump(progs);
+    guard::clearBudgetOverride();
     EXPECT_EQ(reference, degradedQuiet);
 }
 
-TEST_F(FuzzTest, InjectedReplayFaultFallsBackByteIdentically)
+TEST_F(FuzzTest, InjectedReplayFaultHealsByteIdentically)
 {
     auto progs = fallbackPrograms(8);
-    const std::string reference = sweepDump(progs, false);
+    const std::string reference = sweepDump(progs);
     guard::setFault("replay", 1);
-    const std::string healed = sweepDump(progs, true);
+    const std::string healed = sweepDump(progs);
     guard::setFault("", 0);
     EXPECT_EQ(reference, healed);
 }
@@ -425,7 +396,7 @@ TEST_F(FuzzTest, SeedIsThreadedIntoReportsAndCellKeys)
     EXPECT_EQ(guard::Checkpoint::cellKey("cfg", "fuzz", "random-9", 9),
               "cfg|fuzz|random-9|9");
     auto progs = fallbackPrograms(9);
-    const std::string dump = sweepDump(progs, true);
+    const std::string dump = sweepDump(progs);
     EXPECT_NE(dump.find("\"seed\": 9"), std::string::npos);
     // Hand-written programs (seed 0) keep their historical reports:
     // no seed key at all.
@@ -447,7 +418,6 @@ TEST_F(FuzzTest, HarnessRunsARangeAndReportsCleanly)
     fuzz::HarnessOptions opts;
     opts.seedBegin = 0;
     opts.seedEnd = 2;
-    opts.mutationsPerSeed = 4;
     opts.diff.jobsN = 2;
     opts.diff.shards = 2;
     opts.diff.scratchDir = ::testing::TempDir() + "lp_fuzz_test_scratch";

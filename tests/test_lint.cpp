@@ -24,6 +24,7 @@
 #include "lint/lcd_classify.hpp"
 #include "lint/oracle.hpp"
 #include "lint/sarif.hpp"
+#include "rt/engine.hpp"
 #include "rt/oracle_capture.hpp"
 #include "suites/registry.hpp"
 #include "support/error.hpp"
@@ -434,6 +435,23 @@ cfg(const char *flags)
     return LPConfig::parse(flags, ExecModel::DoAll);
 }
 
+/**
+ * Evaluate one configuration with a caller-owned capture — pre-seeded
+ * with forced claims, or inspected afterwards — and judge it the way
+ * Loopapalooza::run judges its own.
+ */
+ProgramReport
+runWithCapture(const Loopapalooza &lp, const LPConfig &c,
+               rt::OracleCapture &cap)
+{
+    ProgramReport rep =
+        rt::evaluate(lp.plan(), lp.traceIndex(), lp.dispatchTable(),
+                     &lp.trace(), {c}, lp.module().name(), &cap)
+            .front();
+    lint::applyOracle(cap, rep);
+    return rep;
+}
+
 /** First header phi of any loop in @p mod (for synthetic watches). */
 const ir::Instruction *
 anyPhi(const ir::Module &mod)
@@ -450,7 +468,7 @@ TEST(LintOracle, CleanRunHasZeroMismatches)
     auto mod = test::buildSaxpy(256);
     Loopapalooza lp(*mod);
     rt::OracleCapture cap;
-    ProgramReport rep = lp.run(cfg("reduc0-dep0-fn0"), cap);
+    ProgramReport rep = runWithCapture(lp, cfg("reduc0-dep0-fn0"), cap);
 
     EXPECT_TRUE(rep.oracleRan);
     EXPECT_GT(rep.oraclePhisChecked, 0u);
@@ -467,16 +485,16 @@ TEST(LintOracle, OracleFreeReportsStayOracleFree)
     // consumers (checkpoints, aggregation) see byte-identical JSON.
     auto mod = test::buildSaxpy(64);
     Loopapalooza lp(*mod);
-    ProgramReport rep = lp.run(cfg("reduc0-dep0-fn0"));
+    ProgramReport rep = lp.run({cfg("reduc0-dep0-fn0")}).front();
     EXPECT_FALSE(rep.oracleRan);
     EXPECT_FALSE(rep.toJson(false).contains("oracle"));
 }
 
-TEST(LintOracle, RunWithOracleConvenience)
+TEST(LintOracle, RunWithTheOracleOn)
 {
     auto mod = test::buildSumReduction(128);
     Loopapalooza lp(*mod);
-    ProgramReport rep = lp.runWithOracle(cfg("reduc1-dep0-fn0"));
+    ProgramReport rep = lp.run({cfg("reduc1-dep0-fn0")}, true).front();
     EXPECT_TRUE(rep.oracleRan);
     EXPECT_EQ(rep.oracleMismatches, 0u);
 }
@@ -495,7 +513,7 @@ TEST(LintOracle, ForcedFalseClaimIsCaughtEndToEnd)
                 cap.forceClaim(tp.phi);
 
     // Watch registration is config-independent, so plain dep0 works.
-    ProgramReport rep = lp.run(cfg("reduc0-dep0-fn0"), cap);
+    ProgramReport rep = runWithCapture(lp, cfg("reduc0-dep0-fn0"), cap);
     EXPECT_TRUE(rep.oracleRan);
     EXPECT_GT(rep.oracleMismatches, 0u);
     bool found = false;
@@ -560,7 +578,7 @@ TEST(LintVerdictOracle, CleanRunHasNoContradictions)
 {
     auto mod = test::buildSaxpy(256);
     Loopapalooza lp(*mod);
-    ProgramReport rep = lp.runWithOracle(cfg("reduc0-dep0-fn0"));
+    ProgramReport rep = lp.run({cfg("reduc0-dep0-fn0")}, true).front();
 
     EXPECT_TRUE(rep.staticVerdictsRan);
     ASSERT_FALSE(rep.staticVerdicts.empty());
@@ -577,7 +595,7 @@ TEST(LintVerdictOracle, VerdictFreeReportsStayVerdictFree)
 {
     auto mod = test::buildSaxpy(64);
     Loopapalooza lp(*mod);
-    ProgramReport rep = lp.run(cfg("reduc0-dep0-fn0"));
+    ProgramReport rep = lp.run({cfg("reduc0-dep0-fn0")}).front();
     EXPECT_FALSE(rep.staticVerdictsRan);
     EXPECT_FALSE(rep.toJson(false).contains("static_verdict"));
 }

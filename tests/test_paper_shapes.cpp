@@ -197,8 +197,8 @@ TEST_F(PaperShapes, PdoallWinsWhereThePaperSaysItDoes)
                             prog->name() == "429.mcf-like";
         if (!expectPdoall)
             continue;
-        double p = prog->run(core::bestPdoall()).speedup();
-        double h = prog->run(core::bestHelix()).speedup();
+        double p = prog->run({core::bestPdoall()}).front().speedup();
+        double h = prog->run({core::bestHelix()}).front().speedup();
         EXPECT_GT(p, h) << prog->name();
     }
 }
@@ -210,7 +210,7 @@ TEST_F(PaperShapes, LibquantumIsTheOutlier)
     for (const auto &prog : study_->programs()) {
         if (prog->suite() != "cint2006")
             continue;
-        double s = prog->run(core::bestHelix()).speedup();
+        double s = prog->run({core::bestHelix()}).front().speedup();
         if (prog->name() == "462.libquantum-like")
             libq = s;
         else

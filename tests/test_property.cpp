@@ -57,7 +57,7 @@ TEST_P(RandomProgram, CostAndCoverageInvariants)
     auto mod = test::generateRandomProgram(GetParam());
     core::Loopapalooza lp(*mod);
     for (const auto &named : core::paperConfigs()) {
-        rt::ProgramReport rep = lp.run(named.config);
+        rt::ProgramReport rep = lp.run({named.config}).front();
         EXPECT_LE(rep.parallelCost, rep.serialCost) << named.label;
         EXPECT_GE(rep.speedup(), 1.0 - kTol) << named.label;
         EXPECT_GE(rep.coverage, 0.0) << named.label;
@@ -77,7 +77,7 @@ TEST_P(RandomProgram, RelaxationMonotonicity)
     core::Loopapalooza lp(*mod);
 
     auto speedup = [&](const char *flags, ExecModel model) {
-        return lp.run(LPConfig::parse(flags, model)).speedup();
+        return lp.run({LPConfig::parse(flags, model)}).front().speedup();
     };
 
     // DOALL <= PDOALL at identical flags.
@@ -114,8 +114,8 @@ TEST_P(RandomProgram, DoacrossNeverBeatsHelix)
     LPConfig helix = LPConfig::parse("reduc1-dep1-fn2", ExecModel::Helix);
     LPConfig doacross = helix;
     doacross.singleSyncDoacross = true;
-    EXPECT_LE(lp.run(doacross).speedup(),
-              lp.run(helix).speedup() + kTol);
+    EXPECT_LE(lp.run({doacross}).front().speedup(),
+              lp.run({helix}).front().speedup() + kTol);
 }
 
 TEST_P(RandomProgram, ReportsAreReproducible)
@@ -123,8 +123,8 @@ TEST_P(RandomProgram, ReportsAreReproducible)
     auto mod = test::generateRandomProgram(GetParam());
     core::Loopapalooza lp(*mod);
     LPConfig cfg = core::bestHelix();
-    rt::ProgramReport a = lp.run(cfg);
-    rt::ProgramReport b = lp.run(cfg);
+    rt::ProgramReport a = lp.run({cfg}).front();
+    rt::ProgramReport b = lp.run({cfg}).front();
     EXPECT_EQ(a.serialCost, b.serialCost);
     EXPECT_EQ(a.parallelCost, b.parallelCost);
     EXPECT_EQ(a.coverage, b.coverage);

@@ -10,8 +10,8 @@
  *  - partitioning: shardCheckpointPath naming, every cell owned by
  *    exactly one shard, shard runs produce no report document;
  *  - differential: merged vs unsharded byte-identity, plain and under
- *    crash recovery and lint, and batched (decode-once) shards vs a
- *    --no-batch unsharded reference;
+ *    crash recovery and lint, and trace-fed shards vs a live-fed
+ *    unsharded reference;
  *  - validation: the config errors runSweep promises (missing
  *    checkpoint, index out of range, --json on a shard run).
  */
@@ -24,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include "core/sweep.hpp"
+#include "guard/budget.hpp"
 #include "guard/checkpoint.hpp"
 #include "helpers.hpp"
 #include "support/error.hpp"
@@ -223,25 +224,28 @@ TEST(ShardSweep, MergedLintSweepMatchesUnshardedIncludingOracle)
     cleanBase("lp_shard_lint.jsonl", 2);
 }
 
-TEST(ShardSweep, BatchedShardedMergeMatchesNoBatchUnsharded)
+TEST(ShardSweep, ShardedMergeMatchesALiveFedUnshardedSweep)
 {
-    // Cross-axis byte-identity: each shard above runs with batched
-    // replay on (the default), splitting its slice into decode-once
-    // lane batches, while the reference sweep disables batching
-    // entirely.  Sharding and batching together must change nothing
-    // in the merged report.
+    // Cross-axis byte-identity: each shard below replays recorded
+    // traces, splitting its slice into lane tasks, while the reference
+    // sweep's one-byte trace budget makes every pass interpret its
+    // program live.  Sharding and the event source together must
+    // change nothing in the merged report.
     std::string reference;
     {
+        guard::RunBudget tiny = guard::defaultBudget();
+        tiny.maxTraceBytes = 1;
+        guard::setBudgetOverride(tiny);
         core::SweepRequest req;
         req.wantJson = true;
-        req.batchReplay = false;
         core::SweepResult res = core::runSweep(shardPrograms(), req);
+        guard::clearBudgetOverride();
         EXPECT_EQ(res.exitCode, 0);
         EXPECT_TRUE(res.hasDocument);
         reference = res.document.dump(2);
     }
 
-    const std::string base = cleanBase("lp_shard_batch.jsonl", 3);
+    const std::string base = cleanBase("lp_shard_live.jsonl", 3);
     for (unsigned i = 1; i <= 3; ++i)
         EXPECT_EQ(runShard(i, 3, base).exitCode, 0);
     core::SweepResult merged = runMerge(3, base);
@@ -249,7 +253,7 @@ TEST(ShardSweep, BatchedShardedMergeMatchesNoBatchUnsharded)
     ASSERT_TRUE(merged.hasDocument);
     EXPECT_EQ(merged.document.dump(2), reference);
 
-    cleanBase("lp_shard_batch.jsonl", 3);
+    cleanBase("lp_shard_live.jsonl", 3);
 }
 
 TEST(ShardSweep, InvalidShardRequestsAreConfigErrors)
