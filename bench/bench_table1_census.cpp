@@ -29,11 +29,21 @@ main()
                  "unpredictable reg LCDs", "freq-mem-LCD loops",
                  "infreq-mem-LCD loops", "loops w/ calls"});
 
+    // Each program is one task: one engine pass under the census
+    // configuration.
+    const auto &progs = study.programs();
+    std::vector<rt::ProgramReport> reports(progs.size());
+    exec::parallelFor(progs.size(), [&](std::size_t i) {
+        reports[i] = progs[i]->run({cfg}).front();
+    });
+
     for (const char *suite :
          {"eembc", "cfp2000", "cfp2006", "cint2000", "cint2006"}) {
         rt::Census total;
-        for (const auto &rep : study.runSuite(suite, cfg)) {
-            const rt::Census &c = rep.census;
+        for (std::size_t i = 0; i < progs.size(); ++i) {
+            if (progs[i]->suite() != suite)
+                continue;
+            const rt::Census &c = reports[i].census;
             total.staticLoops += c.staticLoops;
             total.canonicalLoops += c.canonicalLoops;
             total.computableIvs += c.computableIvs;

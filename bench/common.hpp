@@ -10,6 +10,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -41,22 +42,6 @@ banner(const std::string &what, const std::string &paperRef)
               << "==========================================================\n";
 }
 
-/** Geomean speedup of one suite under one config. */
-inline double
-suiteSpeedup(const core::Study &study, const std::string &suite,
-             const rt::LPConfig &cfg)
-{
-    return core::Study::geomeanSpeedup(study.runSuite(suite, cfg));
-}
-
-/** Geomean coverage (percent) of one suite under one config. */
-inline double
-suiteCoverage(const core::Study &study, const std::string &suite,
-              const rt::LPConfig &cfg)
-{
-    return core::Study::geomeanCoverage(study.runSuite(suite, cfg));
-}
-
 /** Geomeans of one (configuration, suite) cell of a sweep grid. */
 struct SweepCell
 {
@@ -65,29 +50,41 @@ struct SweepCell
 };
 
 /**
- * Evaluate the full @p configs × @p suitesOrder grid of @p study, the
- * unit of parallelism being one (config, suite) cell (each cell runs
- * its programs serially).  Honors --jobs / LP_JOBS via
- * exec::defaultJobs().  Cell [c][s] holds configs[c] × suitesOrder[s];
- * the grid is indexed, not scheduling-ordered, so tables printed from
- * it are identical whatever the worker count.
+ * Evaluate the full @p configs × @p suitesOrder grid of @p study.  Each
+ * program of those suites is one task (parallel across programs; honors
+ * --jobs / LP_JOBS via exec::defaultJobs()) and is evaluated under every
+ * configuration in one engine pass (PreparedProgram::run).  Cell [c][s]
+ * holds the geomeans of configs[c] over suitesOrder[s]'s ok reports, in
+ * program-registration order, so tables printed from it are identical
+ * whatever the worker count.
  */
 inline std::vector<std::vector<SweepCell>>
 sweepGrid(const core::Study &study,
           const std::vector<rt::LPConfig> &configs,
           const std::vector<std::string> &suitesOrder)
 {
+    std::vector<const core::PreparedProgram *> progs;
+    for (const auto &p : study.programs())
+        if (std::find(suitesOrder.begin(), suitesOrder.end(),
+                      p->suite()) != suitesOrder.end())
+            progs.push_back(p.get());
+    std::vector<std::vector<rt::ProgramReport>> reports(progs.size());
+    exec::parallelFor(progs.size(), [&](std::size_t i) {
+        reports[i] = progs[i]->run(configs);
+    });
+
     std::vector<std::vector<SweepCell>> grid(
         configs.size(), std::vector<SweepCell>(suitesOrder.size()));
-    exec::parallelFor(
-        configs.size() * suitesOrder.size(), [&](std::size_t i) {
-            std::size_t c = i / suitesOrder.size();
-            std::size_t s = i % suitesOrder.size();
-            auto reports = study.runSuite(suitesOrder[s], configs[c],
-                                          /*jobs=*/1);
-            grid[c][s] = {core::Study::geomeanSpeedup(reports),
-                          core::Study::geomeanCoverage(reports)};
-        });
+    for (std::size_t c = 0; c < configs.size(); ++c)
+        for (std::size_t s = 0; s < suitesOrder.size(); ++s) {
+            core::GroupGeomeans geomeans;
+            for (std::size_t i = 0; i < progs.size(); ++i)
+                if (progs[i]->suite() == suitesOrder[s] &&
+                    reports[i][c].ok())
+                    geomeans.add(reports[i][c].speedup(),
+                                 reports[i][c].coverage);
+            grid[c][s] = {geomeans.speedup(), geomeans.coveragePct()};
+        }
     return grid;
 }
 

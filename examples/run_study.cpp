@@ -99,7 +99,6 @@
 #include "lint/engine.hpp"
 #include "obs/json.hpp"
 #include "obs/log.hpp"
-#include "obs/metrics.hpp"
 #include "prof/collector.hpp"
 #include "suites/registry.hpp"
 #include "support/error.hpp"
@@ -130,27 +129,6 @@ parseLintMode(const std::string &s)
     if (s == "off" || s == "0" || s.empty())
         return 0;
     return -1;
-}
-
-/**
- * Lint one module under the active mode, print every finding, and bump
- * the lint counters.
- */
-lint::LintResult
-lintOne(const ir::Module &mod)
-{
-    lint::LintOptions lo;
-    lo.warningsAsErrors = g_lintMode == 2;
-    lint::LintResult res = lint::lintModule(mod, lo);
-    if (obs::metricsOn()) {
-        obs::Registry::instance().counter("lint.modules_linted").add(1);
-        obs::Registry::instance()
-            .counter("lint.findings")
-            .add(res.diags.size());
-    }
-    for (const lint::Diagnostic &d : res.diags)
-        std::cout << "lint: " << d.str() << "\n";
-    return res;
 }
 
 rt::ExecModel
@@ -229,7 +207,7 @@ runFile(const std::string &path, const std::string &flags,
     buf << in.rdbuf();
     auto mod = ir::parseModule(buf.str(), interp::stdlibImplFor);
     if (g_lintMode != 0) {
-        lint::LintResult res = lintOne(*mod);
+        lint::LintResult res = lint::lintAndPrint(*mod, g_lintMode == 2);
         if (res.hasErrors()) {
             std::cerr << "error: [LP_LINT] " << path << ": "
                       << res.countAtLeast(lint::Severity::Error)
@@ -253,7 +231,8 @@ runSingle(const std::string &name, const std::string &flags,
             continue;
         core::PreparedProgram prepared(prog);
         if (g_lintMode != 0) {
-            lint::LintResult res = lintOne(prepared.driver().module());
+            lint::LintResult res = lint::lintAndPrint(
+                prepared.driver().module(), g_lintMode == 2);
             if (res.hasErrors()) {
                 std::cerr << "error: [LP_LINT] " << name << ": "
                           << res.countAtLeast(lint::Severity::Error)
@@ -271,7 +250,7 @@ runSingle(const std::string &name, const std::string &flags,
 }
 
 int
-runSuites(const std::string &onlySuite, core::SweepRequest sweep)
+sweepSuites(const std::string &onlySuite, core::SweepRequest sweep)
 {
     sweep.suite = onlySuite;
     sweep.lintMode = g_lintMode;
@@ -479,8 +458,8 @@ main(int argc, char **argv)
         if (args.size() >= 3)
             return finishProfile(runSingle(args[0], args[1], args[2]));
         if (args.size() == 1)
-            return finishProfile(runSuites(args[0], sweep));
-        return finishProfile(runSuites("", sweep));
+            return finishProfile(sweepSuites(args[0], sweep));
+        return finishProfile(sweepSuites("", sweep));
     } catch (const FatalError &e) {
         std::cerr << "error: " << e.what() << "\n";
         return 1;

@@ -16,6 +16,7 @@
 #include "core/driver.hpp"
 #include "exec/pool.hpp"
 #include "guard/quarantine.hpp"
+#include "support/stats.hpp"
 
 namespace lp::core {
 
@@ -34,6 +35,28 @@ struct BenchProgram
      * and run reports so every failure names its reproducing seed.
      */
     std::uint64_t seed = 0;
+};
+
+/**
+ * Geometric means of one (configuration, suite) group of cells, over
+ * its ok cells.  Both Study's geomeans and runSweep's table aggregate
+ * through it, so the clamp lives here only: speedup is floored at 1e-6
+ * and coverage (in percent) at 0.1 %, so a degenerate cell (a zero
+ * speedup from an empty or filtered run) depresses the mean instead of
+ * aborting the aggregation.
+ */
+class GroupGeomeans
+{
+  public:
+    /** Add one ok cell: its speedup and coverage fraction (0..1). */
+    void add(double speedup, double coverage);
+
+    double speedup() const { return speedup_.value(); }
+    double coveragePct() const { return coverage_.value(); }
+
+  private:
+    GeomeanAccum speedup_;
+    GeomeanAccum coverage_;
 };
 
 /** One prepared (built + analyzed) program. */
@@ -74,16 +97,6 @@ class PreparedProgram
     std::unique_ptr<Loopapalooza> lp_;
 };
 
-/**
- * A set of prepared programs with suite-level aggregation.
- *
- * Preparation and suite sweeps are embarrassingly parallel (every
- * program runs in its own interp::Machine over an immutable module), so
- * both accept a worker count.  The default, exec::defaultJobs(), honors
- * --jobs / LP_JOBS and falls back to serial.  Results are ordered by
- * program index regardless of worker count; parallel and serial runs
- * produce identical reports.
- */
 /** How Study prepares its programs. */
 struct StudyOptions
 {
@@ -103,6 +116,16 @@ struct PrepareFailure
     guard::RunVerdict verdict;
 };
 
+/**
+ * A set of prepared programs with suite-level aggregation.
+ *
+ * Preparation is embarrassingly parallel (every program is built and
+ * analyzed on its own), so it accepts a worker count.  The default,
+ * exec::defaultJobs(), honors --jobs / LP_JOBS and falls back to
+ * serial.  Programs are ordered by registration index regardless of
+ * worker count.  Programs are evaluated through runSweep (sweep.hpp)
+ * or one PreparedProgram::run per program.
+ */
 class Study
 {
   public:
@@ -131,47 +154,6 @@ class Study
 
     /** Distinct suite names, in first-seen order. */
     std::vector<std::string> suites() const;
-
-    /**
-     * Run every program of @p suite under @p cfg, using up to @p jobs
-     * worker threads.  Reports come back in program-registration order
-     * whatever the worker count.
-     */
-    std::vector<rt::ProgramReport>
-    runSuite(const std::string &suite, const rt::LPConfig &cfg,
-             unsigned jobs = exec::defaultJobs()) const;
-
-    /** How runSuite treats a failing cell. */
-    struct SuiteRunOptions
-    {
-        /**
-         * Record failing cells as status=failed reports (with error
-         * code, message and attempt count) instead of aborting the
-         * suite on the first failure.
-         */
-        bool keepGoing = false;
-        /** Retry budget for transient failures (guardedRun). */
-        int maxRetries = 2;
-        /** First-retry backoff in ms; doubles per retry. */
-        unsigned backoffBaseMs = 5;
-        unsigned jobs = exec::defaultJobs();
-        /**
-         * Attach the static-vs-dynamic consistency oracle to every
-         * cell; reports come back with their oracle section filled
-         * (see rt::ProgramReport::oracleRan).
-         */
-        bool oracle = false;
-    };
-
-    /**
-     * As runSuite above, honoring @p opts.  In keep-going mode every
-     * cell runs to a verdict: a failed cell comes back as a
-     * RunStatus::Failed report carrying the cell's identity and error,
-     * and its siblings are unaffected.
-     */
-    std::vector<rt::ProgramReport>
-    runSuite(const std::string &suite, const rt::LPConfig &cfg,
-             const SuiteRunOptions &opts) const;
 
     /**
      * Geometric-mean speedup of a set of reports.  Only RunStatus::Ok

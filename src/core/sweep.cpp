@@ -15,36 +15,10 @@
 #include "obs/timer.hpp"
 #include "prof/collector.hpp"
 #include "support/error.hpp"
-#include "support/stats.hpp"
 #include "support/table.hpp"
 #include "support/text.hpp"
 
 namespace lp::core {
-
-namespace {
-
-/**
- * Lint one module under @p lintMode, print every finding, and bump the
- * lint counters.
- */
-lint::LintResult
-lintOne(const ir::Module &mod, int lintMode)
-{
-    lint::LintOptions lo;
-    lo.warningsAsErrors = lintMode == 2;
-    lint::LintResult res = lint::lintModule(mod, lo);
-    if (obs::metricsOn()) {
-        obs::Registry::instance().counter("lint.modules_linted").add(1);
-        obs::Registry::instance()
-            .counter("lint.findings")
-            .add(res.diags.size());
-    }
-    for (const lint::Diagnostic &d : res.diags)
-        std::cout << "lint: " << d.str() << "\n";
-    return res;
-}
-
-} // namespace
 
 std::string
 shardCheckpointPath(const std::string &base, unsigned index,
@@ -110,8 +84,8 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req)
     if (req.lintMode != 0) {
         obs::ScopedPhase phase("lint");
         for (const auto &p : study.programs()) {
-            lint::LintResult res =
-                lintOne(p->driver().module(), req.lintMode);
+            lint::LintResult res = lint::lintAndPrint(
+                p->driver().module(), req.lintMode == 2);
             if (!res.hasErrors())
                 continue;
             std::string first;
@@ -502,7 +476,7 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req)
     std::size_t at = 0;
     for (const NamedConfig &named : paperConfigs()) {
         for (const std::string &suite : suiteOrder) {
-            GeomeanAccum accSpeedup, accCoverage;
+            GroupGeomeans geomeans;
             std::size_t ok = 0, failed = 0, skipped = 0;
             for (; at < cells.size() && cells[at].config == &named &&
                    cells[at].suite == suite;
@@ -512,11 +486,8 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req)
                     cell.json.at("status").asString();
                 if (status == "ok") {
                     ++ok;
-                    accSpeedup.add(std::max(
-                        cell.json.at("speedup").asDouble(), 1e-6));
-                    accCoverage.add(std::max(
-                        cell.json.at("coverage").asDouble() * 100.0,
-                        0.1));
+                    geomeans.add(cell.json.at("speedup").asDouble(),
+                                 cell.json.at("coverage").asDouble());
                 } else {
                     (status == "failed" ? failed : skipped) += 1;
                     unhealthy.push_back(&cell);
@@ -538,8 +509,8 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req)
                 if (req.wantJson)
                     reportsJson.push(cell.json);
             }
-            double speedup = accSpeedup.value();
-            double coverage = accCoverage.value();
+            const double speedup = geomeans.speedup();
+            const double coverage = geomeans.coveragePct();
             t.addRow({named.label, suite, TextTable::num(speedup) + "x",
                       TextTable::num(coverage, 1) + "%",
                       std::to_string(ok), std::to_string(failed),

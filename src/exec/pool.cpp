@@ -4,16 +4,21 @@
 #include <atomic>
 #include <cstdlib>
 #include <exception>
+#include <mutex>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "obs/log.hpp"
-#include "support/error.hpp"
 
 namespace lp::exec {
 
 namespace {
 
 std::atomic<unsigned> g_jobsOverride{0};
+
+/** This thread's slot in the parallelFor region running it. */
+thread_local unsigned t_workerSlot = 0;
 
 /** Parse LP_JOBS once; invalid values warn once and fall back to 1. */
 unsigned
@@ -75,72 +80,10 @@ setJobsOverride(unsigned jobs)
     g_jobsOverride.store(jobs, std::memory_order_relaxed);
 }
 
-ThreadPool::ThreadPool(unsigned workers)
+unsigned
+workerSlot()
 {
-    unsigned n = resolveJobs(workers);
-    threads_.reserve(n);
-    for (unsigned i = 0; i < n; ++i)
-        threads_.emplace_back([this] { workerLoop(); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    {
-        std::unique_lock<prof::TimedMutex> lock(mu_);
-        stop_ = true;
-    }
-    workCv_.notify_all();
-    for (std::thread &t : threads_)
-        t.join();
-}
-
-void
-ThreadPool::post(std::function<void()> task)
-{
-    {
-        std::unique_lock<prof::TimedMutex> lock(mu_);
-        panicIf(stop_, "ThreadPool::post after shutdown");
-        queue_.push_back(std::move(task));
-    }
-    workCv_.notify_one();
-}
-
-void
-ThreadPool::wait()
-{
-    std::unique_lock<prof::TimedMutex> lock(mu_);
-    idleCv_.wait(lock,
-                 [this] { return queue_.empty() && active_ == 0; });
-}
-
-void
-ThreadPool::workerLoop()
-{
-    for (;;) {
-        std::function<void()> task;
-        {
-            std::unique_lock<prof::TimedMutex> lock(mu_);
-            workCv_.wait(lock,
-                         [this] { return stop_ || !queue_.empty(); });
-            if (queue_.empty())
-                return; // stop_ and drained
-            task = std::move(queue_.front());
-            queue_.pop_front();
-            ++active_;
-        }
-        try {
-            task();
-        } catch (...) {
-            panic("ThreadPool task threw (tasks must capture their own "
-                  "exceptions)");
-        }
-        {
-            std::unique_lock<prof::TimedMutex> lock(mu_);
-            --active_;
-            if (queue_.empty() && active_ == 0)
-                idleCv_.notify_all();
-        }
-    }
+    return t_workerSlot;
 }
 
 void
@@ -168,7 +111,8 @@ parallelFor(std::size_t n, const std::function<void(std::size_t)> &fn,
     std::exception_ptr firstError;
     std::size_t firstErrorIndex = 0;
 
-    auto drain = [&] {
+    auto drain = [&](unsigned slot) {
+        t_workerSlot = slot;
         for (;;) {
             std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
             if (i >= n || failed.load(std::memory_order_relaxed))
@@ -186,59 +130,23 @@ parallelFor(std::size_t n, const std::function<void(std::size_t)> &fn,
         }
     };
 
+    // The caller is slot 0; it gets its own slot back afterwards, so a
+    // region nested in another region's worker leaves that worker's
+    // slot as it was.
+    const unsigned callerSlot = t_workerSlot;
     {
-        ThreadPool pool(workers);
-        for (unsigned w = 0; w < workers; ++w)
-            pool.post(drain);
-        pool.wait();
-    } // join before rethrow: no task outlives the region
+        // jthreads join on every path out of this scope, a failed
+        // thread start included: no task outlives the region.
+        std::vector<std::jthread> threads;
+        threads.reserve(workers - 1);
+        for (unsigned slot = 1; slot < workers; ++slot)
+            threads.emplace_back(drain, slot);
+        drain(0);
+    }
+    t_workerSlot = callerSlot;
 
     if (firstError)
         std::rethrow_exception(firstError);
-}
-
-std::vector<std::exception_ptr>
-parallelForAll(std::size_t n, const std::function<void(std::size_t)> &fn,
-               unsigned jobs)
-{
-    std::vector<std::exception_ptr> errors(n);
-    if (n == 0)
-        return errors;
-    unsigned workers = resolveJobs(jobs);
-    if (workers > n)
-        workers = static_cast<unsigned>(n);
-
-    // Slot i is only ever written by the worker that claimed index i,
-    // and the pool joins before we return, so `errors` needs no lock.
-    auto runOne = [&](std::size_t i) {
-        try {
-            fn(i);
-        } catch (...) {
-            errors[i] = std::current_exception();
-        }
-    };
-
-    if (workers <= 1) {
-        for (std::size_t i = 0; i < n; ++i)
-            runOne(i);
-        return errors;
-    }
-
-    alignas(64) std::atomic<std::size_t> next{0};
-    auto drain = [&] {
-        for (;;) {
-            std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= n)
-                return;
-            runOne(i);
-        }
-    };
-
-    ThreadPool pool(workers);
-    for (unsigned w = 0; w < workers; ++w)
-        pool.post(drain);
-    pool.wait();
-    return errors;
 }
 
 } // namespace lp::exec

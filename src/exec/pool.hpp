@@ -6,13 +6,14 @@
  * models × predictors × thresholds over prepared programs — are
  * embarrassingly parallel: every program × configuration run is
  * independent once the module is built and analyzed.  This layer
- * provides the two pieces the sweep call sites need:
- *
- *  - ThreadPool: a fixed set of workers draining one task queue;
- *  - parallelFor(n, fn[, jobs]): run fn(i) for every i in [0, n),
- *    order-preserving by construction (callers index their output by i,
- *    so a parallel sweep produces byte-identical results to a serial
- *    one), with exception capture and rethrow-on-join.
+ * provides the one piece the sweep call sites need,
+ * parallelFor(n, fn[, jobs]): run fn(i) for every i in [0, n) on a
+ * region of worker threads started for the call and joined before it
+ * returns.  It is order-preserving by construction (callers index their
+ * output by i, so a parallel sweep produces byte-identical results to a
+ * serial one), with exception capture and rethrow-on-join.  Each worker
+ * of a region carries a slot number (workerSlot()), which the profiler
+ * uses as its worker lane.
  *
  * Worker count resolution, everywhere: an explicit `jobs` argument wins,
  * then a process-wide override (the `--jobs` flag), then the `LP_JOBS`
@@ -31,15 +32,7 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
-#include <condition_variable>
-#include <exception>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
-
-#include "prof/timed_mutex.hpp"
 
 namespace lp::exec {
 
@@ -67,48 +60,12 @@ unsigned resolveJobs(unsigned jobs);
  */
 unsigned hardwareThreads();
 
-/** Fixed-size worker pool draining one FIFO task queue. */
-class ThreadPool
-{
-  public:
-    /** Spawns resolveJobs(@p workers) threads immediately. */
-    explicit ThreadPool(unsigned workers);
-    /** Waits for queued tasks, then joins the workers. */
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool &) = delete;
-    ThreadPool &operator=(const ThreadPool &) = delete;
-
-    unsigned workers() const
-    {
-        return static_cast<unsigned>(threads_.size());
-    }
-
-    /**
-     * Enqueue @p task.  Tasks must not throw (parallelFor wraps user
-     * callbacks with its own capture); a throwing task aborts via
-     * panic().
-     */
-    void post(std::function<void()> task);
-
-    /** Block until the queue is empty and every worker is idle. */
-    void wait();
-
-  private:
-    void workerLoop();
-
-    std::vector<std::thread> threads_;
-    std::deque<std::function<void()>> queue_;
-    /// Instrumented so queue contention shows up in profiles
-    /// (docs/profiling.md); cv waits use condition_variable_any.  Only
-    /// the reacquire after a wakeup counts as lock-wait — idle blocking
-    /// is idle, not contention.
-    prof::TimedMutex mu_{"exec.pool_queue"};
-    std::condition_variable_any workCv_; ///< signals workers: task/stop
-    std::condition_variable_any idleCv_; ///< signals wait(): drained
-    std::size_t active_ = 0;
-    bool stop_ = false;
-};
+/**
+ * The calling thread's slot in the parallelFor region running it:
+ * 0..workers-1, with the calling thread itself as slot 0.  A thread
+ * outside any region (the main thread, a serial region) is slot 0.
+ */
+unsigned workerSlot();
 
 /**
  * Run @p fn(i) for every i in [0, @p n) on up to @p jobs workers.
@@ -116,6 +73,9 @@ class ThreadPool
  * - jobs <= 1 (or n <= 1) runs inline on the calling thread, so the
  *   serial path has zero threading overhead and identical semantics to
  *   the pre-exec code.
+ * - Otherwise min(jobs, n) workers claim indices from one counter: the
+ *   calling thread as slot 0 and one fresh thread per further slot,
+ *   all joined before parallelFor returns.
  * - Result ordering is the caller's: write results[i] inside fn and the
  *   output order is independent of scheduling.
  * - If any fn(i) throws, no further indices are issued, every started
@@ -125,17 +85,5 @@ class ThreadPool
  */
 void parallelFor(std::size_t n, const std::function<void(std::size_t)> &fn,
                  unsigned jobs = defaultJobs());
-
-/**
- * Like parallelFor, but a throwing index never cancels the others:
- * every i in [0, @p n) runs to completion and the exception each one
- * threw (if any) comes back in slot i of the result.  This is the
- * error-collection mode lp::guard's keep-going sweeps are built on —
- * one poisoned cell must not take the rest of the sweep down with it.
- * An all-null result vector means every index succeeded.
- */
-std::vector<std::exception_ptr>
-parallelForAll(std::size_t n, const std::function<void(std::size_t)> &fn,
-               unsigned jobs = defaultJobs());
 
 } // namespace lp::exec

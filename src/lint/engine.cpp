@@ -1,6 +1,9 @@
 #include "lint/engine.hpp"
 
+#include <iostream>
+
 #include "lint/lcd_classify.hpp"
+#include "obs/metrics.hpp"
 
 namespace lp::lint {
 
@@ -126,6 +129,23 @@ lintModule(const ir::Module &mod, const LintOptions &opts)
 {
     static const Engine engine;
     return engine.run(mod, opts);
+}
+
+LintResult
+lintAndPrint(const ir::Module &mod, bool warningsAsErrors)
+{
+    LintOptions lo;
+    lo.warningsAsErrors = warningsAsErrors;
+    LintResult res = lintModule(mod, lo);
+    if (obs::metricsOn()) {
+        obs::Registry::instance().counter("lint.modules_linted").add(1);
+        obs::Registry::instance()
+            .counter("lint.findings")
+            .add(res.diags.size());
+    }
+    for (const Diagnostic &d : res.diags)
+        std::cout << "lint: " << d.str() << "\n";
+    return res;
 }
 
 } // namespace lp::lint

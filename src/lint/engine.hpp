@@ -200,4 +200,12 @@ class Engine
 /** One-shot convenience: standard rules over @p mod. */
 LintResult lintModule(const ir::Module &mod, const LintOptions &opts = {});
 
+/**
+ * lintModule as the run_study front ends use it: standard rules over
+ * @p mod (warnings promoted to errors when @p warningsAsErrors), every
+ * finding printed to stdout as "lint: <finding>", and the
+ * lint.modules_linted / lint.findings counters bumped.
+ */
+LintResult lintAndPrint(const ir::Module &mod, bool warningsAsErrors);
+
 } // namespace lp::lint

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <chrono>
 
+#include "exec/pool.hpp"
 #include "obs/log.hpp"
-#include "obs/metrics.hpp"
 #include "support/text.hpp"
 
 namespace lp::prof {
@@ -195,8 +195,7 @@ void
 Collector::addEpoch(EpochKind kind, std::uint64_t instructions,
                     std::uint64_t wallNs)
 {
-    EpochSlot &slot =
-        epochs_[obs::threadLane() & (kMaxLanes - 1)];
+    EpochSlot &slot = epochs_[exec::workerSlot() & (kMaxLanes - 1)];
     const std::size_t k = static_cast<std::size_t>(kind);
     slot.instructions[k].fetch_add(instructions,
                                    std::memory_order_relaxed);
@@ -470,7 +469,7 @@ CellScope::CellScope(const std::string &program, const std::string &suite,
     rec_.program = program;
     rec_.suite = suite;
     rec_.config = config;
-    rec_.worker = obs::threadLane();
+    rec_.worker = exec::workerSlot();
     rec_.startNs = c.nowNs();
     rec_.queueWaitNs = c.queueWaitBefore(rec_.worker, rec_.startNs);
     rec_.status = "failed"; // an unwound scope records a failed cell
@@ -517,7 +516,7 @@ TaskScope::TaskScope() : active_(profilingOn())
     if (!active_)
         return;
     Collector &c = Collector::instance();
-    worker_ = obs::threadLane();
+    worker_ = exec::workerSlot();
     startNs_ = c.nowNs();
     queueWaitNs_ = c.queueWaitBefore(worker_, startNs_);
     lockWait0_ = threadLockWaitNs();

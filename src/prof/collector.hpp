@@ -59,7 +59,7 @@ struct CellRecord
     std::string program;
     std::string suite;
     std::string config;  ///< configuration label ("reduc1-dep1-fn2 helix")
-    unsigned worker = 0; ///< obs::threadLane() of the executing worker
+    unsigned worker = 0; ///< exec::workerSlot() of the executing worker
     std::uint64_t startNs = 0;     ///< collector timebase
     std::uint64_t wallNs = 0;
     /** Idle gap on this worker's lane before the cell started: from

@@ -2,20 +2,22 @@
  * @file
  * Tests for the lp::exec work-pool layer and the thread-safety
  * guarantees it leans on: parallelFor semantics (ordering, exception
- * capture, jobs resolution), concurrent metrics recording, and the
- * headline determinism contract — a parallel suite sweep produces
- * reports identical to a serial one.
+ * capture, jobs resolution, worker slots), concurrent metrics
+ * recording, and the headline determinism contract — a parallel
+ * runSweep produces a document identical to a serial one.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "core/study.hpp"
+#include "core/sweep.hpp"
 #include "exec/pool.hpp"
 #include "helpers.hpp"
 #include "obs/metrics.hpp"
@@ -27,7 +29,6 @@ namespace lp {
 namespace {
 
 using exec::parallelFor;
-using exec::ThreadPool;
 
 // ----------------------------------------------------------- parallelFor
 
@@ -115,42 +116,21 @@ TEST(ParallelFor, StopsIssuingAfterFailure)
     EXPECT_LT(ran.load(), 100'000);
 }
 
-// -------------------------------------------------------- parallelForAll
-
-TEST(ParallelForAll, RunsEveryIndexDespiteFailures)
+TEST(ParallelFor, WorkersCarryTheirRegionSlots)
 {
-    for (unsigned jobs : {1u, 4u}) {
-        std::vector<std::atomic<int>> hits(64);
-        auto errors = exec::parallelForAll(
-            hits.size(),
-            [&](std::size_t i) {
-                hits[i].fetch_add(1);
-                if (i % 5 == 0)
-                    throw std::runtime_error("boom " + std::to_string(i));
-            },
-            jobs);
-        ASSERT_EQ(errors.size(), hits.size());
-        for (std::size_t i = 0; i < hits.size(); ++i) {
-            // One poisoned index cancels nothing: every index ran.
-            EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-            EXPECT_EQ(static_cast<bool>(errors[i]), i % 5 == 0)
-                << "index " << i;
-        }
-        try {
-            std::rethrow_exception(errors[5]);
-        } catch (const std::runtime_error &e) {
-            EXPECT_STREQ(e.what(), "boom 5"); // slot i holds i's error
-        }
-    }
-}
-
-TEST(ParallelForAll, AllNullOnSuccessAndEmptyOnZero)
-{
-    EXPECT_TRUE(exec::parallelForAll(0, [](std::size_t) {}, 4).empty());
-    auto errors =
-        exec::parallelForAll(32, [](std::size_t) {}, 4);
-    for (const std::exception_ptr &e : errors)
-        EXPECT_FALSE(e);
+    // Each worker of a region is one slot in 0..workers-1 (the profile
+    // lanes); the caller is slot 0 and gets its own slot back.
+    std::vector<unsigned> slots(64);
+    parallelFor(
+        slots.size(),
+        [&](std::size_t i) {
+            slots[i] = exec::workerSlot();
+            std::this_thread::sleep_for(std::chrono::microseconds(50));
+        },
+        4);
+    for (unsigned slot : slots)
+        EXPECT_LT(slot, 4u);
+    EXPECT_EQ(exec::workerSlot(), 0u);
 }
 
 TEST(ParallelFor, JobsResolution)
@@ -164,33 +144,6 @@ TEST(ParallelFor, JobsResolution)
     // With the override cleared, the default falls back to LP_JOBS or 1;
     // either way it is a positive worker count.
     EXPECT_GE(exec::defaultJobs(), 1u);
-}
-
-// ------------------------------------------------------------ ThreadPool
-
-TEST(ThreadPoolTest, RunsPostedTasks)
-{
-    std::atomic<int> sum{0};
-    {
-        ThreadPool pool(4);
-        EXPECT_EQ(pool.workers(), 4u);
-        for (int i = 1; i <= 100; ++i)
-            pool.post([&sum, i] { sum.fetch_add(i); });
-        pool.wait();
-        EXPECT_EQ(sum.load(), 5050);
-    }
-}
-
-TEST(ThreadPoolTest, WaitIsReusable)
-{
-    std::atomic<int> n{0};
-    ThreadPool pool(2);
-    pool.post([&] { n.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(n.load(), 1);
-    pool.post([&] { n.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(n.load(), 2);
 }
 
 // -------------------------------------------------- concurrent metrics
@@ -339,28 +292,18 @@ smallPrograms()
     };
 }
 
-/** One full sweep at @p jobs workers, dumped to a canonical string. */
+/** One runSweep document at @p jobs workers, dumped canonically. */
 std::string
 sweepFingerprint(unsigned jobs)
 {
-    core::Study study(smallPrograms(), jobs);
-    std::string out;
-    const std::pair<const char *, rt::ExecModel> points[] = {
-        {"reduc0-dep0-fn0", rt::ExecModel::DoAll},
-        {"reduc1-dep0-fn0", rt::ExecModel::DoAll},
-        {"reduc0-dep0-fn0", rt::ExecModel::PartialDoAll},
-        {"reduc1-dep2-fn2", rt::ExecModel::PartialDoAll},
-        {"reduc0-dep0-fn2", rt::ExecModel::Helix},
-        {"reduc1-dep1-fn2", rt::ExecModel::Helix},
-    };
-    for (const auto &[flags, model] : points) {
-        rt::LPConfig cfg = rt::LPConfig::parse(flags, model);
-        for (const rt::ProgramReport &rep :
-             study.runSuite("exec-test", cfg, jobs))
-            out += rep.toJson(/*withObsSnapshot=*/false).dump();
-        out += '\n';
-    }
-    return out;
+    exec::setJobsOverride(jobs);
+    core::SweepRequest req;
+    req.suite = "exec-test";
+    req.wantJson = true;
+    core::SweepResult res = core::runSweep(smallPrograms(), req);
+    exec::setJobsOverride(0);
+    EXPECT_EQ(res.exitCode, 0);
+    return res.document.dump();
 }
 
 TEST(Determinism, ParallelSweepMatchesSerialByteForByte)

@@ -13,7 +13,9 @@
 #include <string>
 #include <vector>
 
+#include "core/configs.hpp"
 #include "core/study.hpp"
+#include "core/sweep.hpp"
 #include "guard/budget.hpp"
 #include "guard/checkpoint.hpp"
 #include "guard/fault.hpp"
@@ -369,33 +371,49 @@ TEST_F(GuardTest, KeepGoingSuiteQuarantinesOneCellOthersComplete)
     std::vector<core::BenchProgram> progs = {
         healthyProgram("ok.one"), trappingProgram(),
         healthyProgram("ok.two")};
-    core::Study study(progs);
 
-    rt::LPConfig cfg =
-        rt::LPConfig::parse("reduc1-dep1-fn2", rt::ExecModel::Helix);
-    core::Study::SuiteRunOptions opts;
-    opts.keepGoing = true;
-    opts.backoffBaseMs = 0;
-    auto reports = study.runSuite("guard-suite", cfg, opts);
+    core::SweepRequest req; // keep-going is the sweep default
+    req.suite = "guard-suite";
+    req.wantJson = true;
+    core::SweepResult res = core::runSweep(progs, req);
+    EXPECT_EQ(res.exitCode, 0);
 
-    ASSERT_EQ(reports.size(), 3u);
-    EXPECT_TRUE(reports[0].ok());
-    EXPECT_FALSE(reports[1].ok());
-    EXPECT_TRUE(reports[2].ok());
-    EXPECT_EQ(reports[1].status, rt::RunStatus::Failed);
-    EXPECT_EQ(reports[1].errorCode, "LP_TRAP");
-    EXPECT_EQ(reports[1].program, "trap.kernel");
-    EXPECT_NE(reports[1].errorMessage.find("division by zero"),
-              std::string::npos)
-        << reports[1].errorMessage;
+    // Every cell of the trapping program fails; its siblings complete.
+    const std::size_t nConfigs = core::paperConfigs().size();
+    const obs::Json &reports = res.document.at("reports");
+    ASSERT_EQ(reports.size(), 3 * nConfigs);
+    std::size_t failed = 0;
+    for (std::size_t i = 0; i < reports.size(); ++i) {
+        const obs::Json &r = reports.at(i);
+        if (r.at("program").asString() != "trap.kernel") {
+            EXPECT_EQ(r.at("status").asString(), "ok");
+            continue;
+        }
+        ++failed;
+        EXPECT_EQ(r.at("status").asString(), "failed");
+        EXPECT_EQ(r.at("error_code").asString(), "LP_TRAP");
+        EXPECT_NE(r.at("error").asString().find("division by zero"),
+                  std::string::npos)
+            << r.at("error").asString();
+    }
+    EXPECT_EQ(failed, nConfigs);
 
     // Geomeans aggregate the survivors only.
-    EXPECT_GT(core::Study::geomeanSpeedup(reports), 0.0);
+    const obs::Json &suites = res.document.at("suites");
+    ASSERT_EQ(suites.size(), nConfigs);
+    for (std::size_t i = 0; i < suites.size(); ++i) {
+        const obs::Json &row = suites.at(i);
+        EXPECT_EQ(row.at("ok").asU64(), 2u);
+        EXPECT_EQ(row.at("failed").asU64(), 1u);
+        EXPECT_GT(row.at("geomean_speedup").asDouble(), 0.0);
+    }
 
-    // Strict mode over the same suite aborts, with the cell identity
+    // A strict sweep over the same suite aborts, with the cell identity
     // stamped onto the error.
+    req.keepGoing = false;
+    req.wantJson = false;
     try {
-        study.runSuite("guard-suite", cfg, /*jobs=*/1);
+        core::runSweep(progs, req);
         FAIL() << "expected InterpreterTrap";
     }
     catch (const Error &e) {

@@ -8,11 +8,12 @@
  *    fast path, forced contention producing wait-ns and the per-thread
  *    lock-wait accumulator CellScope attribution is built on;
  *  - Collector: spec parsing, per-cell JSONL well-formedness and schema
- *    round-trip, per-worker timeline lane validity, epoch attribution
- *    from the interpret/record/engine hot loops, and truthful worker
- *    utilization on a real sweep (lane tasks are the profiled work);
- *  - Determinism: a profiled sweep's reports are byte-identical to an
- *    unprofiled sweep's, serial and at --jobs 4 (ISSUE 6 acceptance).
+ *    round-trip, per-worker timeline lane validity (one lane per
+ *    exec worker slot), epoch attribution from the interpret/record/
+ *    engine hot loops, and truthful worker utilization on a real
+ *    sweep (lane tasks are the profiled work);
+ *  - Determinism: a profiled runSweep document is byte-identical to an
+ *    unprofiled one, serial and at --jobs 4.
  */
 
 #include <atomic>
@@ -33,7 +34,6 @@
 #include "obs/json.hpp"
 #include "prof/collector.hpp"
 #include "prof/timed_mutex.hpp"
-#include "rt/config.hpp"
 
 namespace lp {
 namespace {
@@ -264,23 +264,43 @@ smallPrograms()
     };
 }
 
+/**
+ * runSweep over smallPrograms() at @p jobs workers (its table muted);
+ * returns the sweep document, dumped canonically.
+ */
+std::string
+sweepDoc(unsigned jobs)
+{
+    exec::setJobsOverride(jobs);
+    core::SweepRequest req;
+    req.suite = "prof-test";
+    req.wantJson = true;
+    std::ostringstream quiet;
+    std::streambuf *old = std::cout.rdbuf(quiet.rdbuf());
+    core::SweepResult res = core::runSweep(smallPrograms(), req);
+    std::cout.rdbuf(old);
+    exec::setJobsOverride(0);
+    EXPECT_EQ(res.exitCode, 0);
+    return res.document.dump();
+}
+
 TEST_F(ProfSandbox, WorkerTimelinesHaveValidLanesAndUtilization)
 {
     prof::Collector &c = prof::Collector::instance();
     const std::string path = tempPath("lp_prof_lanes.json");
     ASSERT_TRUE(c.configure("json:" + path));
-
-    core::Study study(smallPrograms(), 1);
-    rt::LPConfig cfg =
-        rt::LPConfig::parse("reduc1-dep1-fn2", rt::ExecModel::Helix);
-    c.beginRegion();
-    study.runSuite("prof-test", cfg, 4);
-    c.endRegion();
+    sweepDoc(4);
 
     obs::Json workers = c.workersJson();
-    EXPECT_GT(workers.at("region_wall_ns").asU64(), 0u);
+    const std::uint64_t regionWall =
+        workers.at("region_wall_ns").asU64();
+    EXPECT_GT(regionWall, 0u);
     const obs::Json &lanes = workers.at("workers");
     ASSERT_GT(lanes.size(), 0u);
+    // A lane is a worker slot: the recordings and the lane tasks run on
+    // the same 4 slots, so a 4-job sweep shows at most 4 lanes (not one
+    // per thread started).
+    EXPECT_LE(lanes.size(), 4u);
     std::set<std::uint64_t> seenLanes;
     std::uint64_t cellsTotal = 0;
     for (std::size_t i = 0; i < lanes.size(); ++i) {
@@ -288,12 +308,14 @@ TEST_F(ProfSandbox, WorkerTimelinesHaveValidLanesAndUtilization)
         // Each lane appears once and carries internally consistent
         // spans: busy + idle == the region wall it is measured against.
         EXPECT_TRUE(seenLanes.insert(w.at("worker").asU64()).second);
+        EXPECT_LT(w.at("worker").asU64(), 4u);
         cellsTotal += w.at("cells").asU64();
         const double util = w.at("utilization").asDouble();
         EXPECT_GE(util, 0.0);
         EXPECT_LE(util, 1.0 + 1e-9);
         EXPECT_EQ(w.at("busy_ns").asU64() + w.at("idle_ns").asU64(),
-                  workers.at("region_wall_ns").asU64());
+                  regionWall);
+        EXPECT_LE(w.at("queue_wait_ns").asU64(), regionWall);
     }
     EXPECT_EQ(cellsTotal, c.cellCount());
     EXPECT_GE(workers.at("load_imbalance").asDouble(), 1.0 - 1e-9);
@@ -365,14 +387,8 @@ TEST_F(ProfSandbox, ParallelSweepQueueWaitStaysWithinRegionWall)
     // lasted.
     prof::Collector &c = prof::Collector::instance();
     c.setEnabled(true);
-
-    core::Study study(smallPrograms(), 1);
-    rt::LPConfig cfg =
-        rt::LPConfig::parse("reduc1-dep1-fn2", rt::ExecModel::Helix);
-    c.beginRegion();
     for (int round = 0; round < 3; ++round)
-        study.runSuite("prof-test", cfg, 4);
-    c.endRegion();
+        sweepDoc(4);
     c.setEnabled(false);
 
     obs::Json workers = c.workersJson();
@@ -390,24 +406,16 @@ TEST_F(ProfSandbox, EpochsAttributeInterpretRecordAndReplayTime)
     prof::Collector &c = prof::Collector::instance();
     c.setEnabled(true);
 
-    rt::LPConfig cfg =
-        rt::LPConfig::parse("reduc1-dep1-fn2", rt::ExecModel::Helix);
-    // A replayed suite run records once (record epochs) and replays
+    // A sweep records each program once (record epochs) and replays
     // the trace through the engine (replay_batch epochs)...
-    {
-        core::Study study(smallPrograms(), 1);
-        study.runSuite("prof-test", cfg, 1);
-    }
+    sweepDoc(1);
     // ...and a one-byte trace budget makes the engine's passes run
     // live, which the interpreter attributes (interp epochs).
-    {
-        guard::RunBudget tiny = guard::defaultBudget();
-        tiny.maxTraceBytes = 1;
-        guard::setBudgetOverride(tiny);
-        core::Study study(smallPrograms(), 1);
-        study.runSuite("prof-test", cfg, 1);
-        guard::clearBudgetOverride();
-    }
+    guard::RunBudget tiny = guard::defaultBudget();
+    tiny.maxTraceBytes = 1;
+    guard::setBudgetOverride(tiny);
+    sweepDoc(1);
+    guard::clearBudgetOverride();
     c.setEnabled(false);
 
     obs::Json workers = c.workersJson();
@@ -435,16 +443,7 @@ TEST_F(ProfSandbox, SweepWorkerUtilizationIsTruthful)
     // ~1e-4.)
     prof::Collector &c = prof::Collector::instance();
     c.setEnabled(true);
-    exec::setJobsOverride(1);
-    core::SweepRequest req;
-    req.suite = "prof-test";
-    {
-        std::ostringstream quiet;
-        std::streambuf *old = std::cout.rdbuf(quiet.rdbuf());
-        core::runSweep(smallPrograms(), req);
-        std::cout.rdbuf(old);
-    }
-    exec::setJobsOverride(0);
+    sweepDoc(1);
     c.setEnabled(false);
 
     obs::Json workers = c.workersJson();
@@ -458,7 +457,7 @@ TEST_F(ProfSandbox, SweepWorkerUtilizationIsTruthful)
 
 // ---------------------------------------------------------- determinism
 
-/** One sweep fingerprint: every cell report, dumped canonically. */
+/** One sweep fingerprint: the runSweep document, profiled or not. */
 std::string
 sweepFingerprint(unsigned jobs, bool profiled)
 {
@@ -468,20 +467,7 @@ sweepFingerprint(unsigned jobs, bool profiled)
     } else {
         ProfSandbox::quiesce();
     }
-    core::Study study(smallPrograms(), jobs);
-    std::string out;
-    const std::pair<const char *, rt::ExecModel> points[] = {
-        {"reduc0-dep0-fn0", rt::ExecModel::DoAll},
-        {"reduc1-dep2-fn2", rt::ExecModel::PartialDoAll},
-        {"reduc1-dep1-fn2", rt::ExecModel::Helix},
-    };
-    for (const auto &[flags, model] : points) {
-        rt::LPConfig cfg = rt::LPConfig::parse(flags, model);
-        for (const rt::ProgramReport &rep :
-             study.runSuite("prof-test", cfg, jobs))
-            out += rep.toJson(/*withObsSnapshot=*/false).dump();
-        out += '\n';
-    }
+    const std::string out = sweepDoc(jobs);
     ProfSandbox::quiesce();
     std::remove((tempPath("lp_prof_identity.json") + ".cells.jsonl")
                     .c_str());

@@ -15,10 +15,13 @@
 #include <string>
 #include <vector>
 
+#include "core/configs.hpp"
 #include "core/driver.hpp"
 #include "core/study.hpp"
+#include "core/sweep.hpp"
 #include "guard/budget.hpp"
 #include "helpers.hpp"
+#include "obs/metrics.hpp"
 #include "rt/engine.hpp"
 #include "support/error.hpp"
 #include "trace/format.hpp"
@@ -155,20 +158,29 @@ TEST_F(TraceTest, KeepGoingSuiteRunEvaluatesTruncatedTracesLive)
     std::vector<core::BenchProgram> progs;
     progs.push_back(
         {"saxpy", "unit", [] { return test::buildSaxpy(64); }});
-    core::Study study(progs, /*jobs=*/1);
+    obs::setMetricsEnabled(true);
+    obs::Registry::instance().resetAll();
+    core::SweepRequest req; // keep-going is the sweep default
+    req.suite = "unit";
+    req.wantJson = true;
+    core::SweepResult res = core::runSweep(progs, req);
+    obs::Registry &reg = obs::Registry::instance();
+    const std::uint64_t fallbacks =
+        reg.counter("sweep.trace_fallbacks").value();
+    const std::uint64_t retries = reg.counter("guard.retries").value();
+    obs::setMetricsEnabled(false);
+    guard::clearBudgetOverride();
 
-    core::Study::SuiteRunOptions opts;
-    opts.keepGoing = true;
-    opts.jobs = 1;
-    opts.maxRetries = 1;
-    opts.backoffBaseMs = 1;
-    const LPConfig cfg =
-        LPConfig::parse("reduc0-dep0-fn0", ExecModel::DoAll);
-    auto reports = study.runSuite("unit", cfg, opts);
-    ASSERT_EQ(reports.size(), 1u);
-    EXPECT_EQ(reports[0].status, rt::RunStatus::Ok);
-    EXPECT_EQ(reports[0].attempts, 1u);
-    EXPECT_GT(reports[0].serialCost, 0u);
+    // Every cell is evaluated from a live run, first time, in full.
+    EXPECT_GT(fallbacks, 0u);
+    EXPECT_EQ(retries, 0u);
+    const obs::Json &reports = res.document.at("reports");
+    ASSERT_EQ(reports.size(), core::paperConfigs().size());
+    for (std::size_t i = 0; i < reports.size(); ++i) {
+        const obs::Json &r = reports.at(i);
+        EXPECT_EQ(r.at("status").asString(), "ok");
+        EXPECT_GT(r.at("serial_cost").asU64(), 0u);
+    }
 }
 
 // -------------------------------------------------------- varint corner
