@@ -163,35 +163,41 @@ maybeWriteReport(const obs::Json &doc)
     return 0;
 }
 
-int
-reportOne(const rt::ProgramReport &rep)
-{
-    rep.print(std::cout, /*perLoop=*/true);
-    return maybeWriteReport(rep.toJson());
-}
-
 /**
- * Run one program/config inside a profiler region + cell, so single
- * runs show up in --profile reports and timelines just like sweep
- * cells do (one lane, one span).  A run that throws records as
- * status="failed" before the exception propagates.
+ * The single-run verbs' shared tail: the lint gate on @p mod (under
+ * --lint), then @p run of the parsed configuration inside a profiler
+ * region + cell, so single runs show up in --profile reports and
+ * timelines just like sweep cells do (one lane, one span).  A run that
+ * throws records as status="failed" before the exception propagates.
  */
-template <typename Fn>
-rt::ProgramReport
-profiledSingleRun(const std::string &program, const std::string &suite,
-                  const std::string &config, Fn &&run)
+template <typename Run>
+int
+lintAndRunOne(const ir::Module &mod, const std::string &program,
+              const std::string &suite, const std::string &flags,
+              const std::string &model, Run &&run)
 {
+    if (g_lintMode != 0) {
+        lint::LintResult res = lint::lintAndPrint(mod, g_lintMode == 2);
+        if (res.hasErrors()) {
+            std::cerr << "error: [LP_LINT] " << program << ": "
+                      << res.countAtLeast(lint::Severity::Error)
+                      << " error-level lint finding(s)\n";
+            return 1;
+        }
+    }
+    const rt::LPConfig cfg = rt::LPConfig::parse(flags, parseModel(model));
     prof::Collector::instance().beginRegion();
     rt::ProgramReport rep;
     {
-        prof::CellScope cellProf(program, suite, config);
+        prof::CellScope cellProf(program, suite, flags);
         cellProf.setAttempts(1);
-        rep = run();
+        rep = run(cfg);
         cellProf.setInstructions(rep.serialCost);
         cellProf.setStatus("ok");
     }
     prof::Collector::instance().endRegion();
-    return rep;
+    rep.print(std::cout, /*perLoop=*/true);
+    return maybeWriteReport(rep.toJson());
 }
 
 int
@@ -206,20 +212,13 @@ runFile(const std::string &path, const std::string &flags,
     std::stringstream buf;
     buf << in.rdbuf();
     auto mod = ir::parseModule(buf.str(), interp::stdlibImplFor);
-    if (g_lintMode != 0) {
-        lint::LintResult res = lint::lintAndPrint(*mod, g_lintMode == 2);
-        if (res.hasErrors()) {
-            std::cerr << "error: [LP_LINT] " << path << ": "
-                      << res.countAtLeast(lint::Severity::Error)
-                      << " error-level lint finding(s)\n";
-            return 1;
-        }
-    }
-    core::Loopapalooza lp(*mod);
-    rt::LPConfig cfg = rt::LPConfig::parse(flags, parseModel(model));
-    return reportOne(profiledSingleRun(path, "file", flags, [&] {
-        return lp.run({cfg}, g_lintMode != 0).front();
-    }));
+    // The driver verifies the module (fatal on malformed IR), so it is
+    // built after the lint gate has had its say.
+    return lintAndRunOne(*mod, path, "file", flags, model,
+                         [&](const rt::LPConfig &cfg) {
+                             core::Loopapalooza lp(*mod);
+                             return lp.run({cfg}, g_lintMode != 0).front();
+                         });
 }
 
 int
@@ -230,20 +229,12 @@ runSingle(const std::string &name, const std::string &flags,
         if (prog.name != name)
             continue;
         core::PreparedProgram prepared(prog);
-        if (g_lintMode != 0) {
-            lint::LintResult res = lint::lintAndPrint(
-                prepared.driver().module(), g_lintMode == 2);
-            if (res.hasErrors()) {
-                std::cerr << "error: [LP_LINT] " << name << ": "
-                          << res.countAtLeast(lint::Severity::Error)
-                          << " error-level lint finding(s)\n";
-                return 1;
-            }
-        }
-        rt::LPConfig cfg = rt::LPConfig::parse(flags, parseModel(model));
-        return reportOne(profiledSingleRun(name, prog.suite, flags, [&] {
-            return prepared.run({cfg}, g_lintMode != 0).front();
-        }));
+        return lintAndRunOne(prepared.driver().module(), name, prog.suite,
+                             flags, model, [&](const rt::LPConfig &cfg) {
+                                 return prepared.run({cfg},
+                                                     g_lintMode != 0)
+                                     .front();
+                             });
     }
     std::cerr << "unknown benchmark: " << name << "\n";
     return 1;
@@ -439,10 +430,6 @@ main(int argc, char **argv)
             sweep.shardIndex == 0)
             fatal("--shards N runs nothing by itself: use --shards I/N "
                   "for one shard, or add --merge to combine them");
-        if ((sweep.shardIndex != 0 || sweep.merge) &&
-            sweep.checkpointPath.empty())
-            fatal("--shards requires --checkpoint PATH (the shard "
-                  "checkpoints are the merge protocol)");
         if (budgetTouched)
             guard::setBudgetOverride(budget);
 

@@ -28,8 +28,7 @@ Loopapalooza::Loopapalooza(const ir::Module &mod) : mod_(mod)
     {
         obs::ScopedPhase phase("analyze");
         plan_ = std::make_unique<rt::ModulePlan>(mod);
-        index_ = std::make_unique<trace::ModuleIndex>(mod);
-        dispatch_ = rt::buildDispatchTable(*plan_, *index_);
+        dispatch_ = rt::buildDispatchTable(*plan_);
     }
 
     std::size_t loops = 0;
@@ -73,8 +72,8 @@ Loopapalooza::run(const std::vector<rt::LPConfig> &cfgs, bool oracle) const
                 .counter("sweep.trace_fallbacks")
                 .add(1);
         std::vector<rt::ProgramReport> reps =
-            rt::evaluate(*plan_, *index_, dispatch_, live ? nullptr : &t,
-                         pass, mod_.name(), cap ? &*cap : nullptr);
+            rt::evaluate(*plan_, dispatch_, live ? nullptr : &t, pass,
+                         mod_.name(), cap ? &*cap : nullptr);
         for (rt::ProgramReport &rep : reps) {
             if (cap) {
                 lint::applyOracle(*cap, rep);
@@ -107,7 +106,7 @@ Loopapalooza::trace() const
         std::rethrow_exception(traceError_);
     try {
         trace_ = std::make_unique<trace::Trace>(rt::recordTrace(
-            mod_, *index_, dispatch_, guard::defaultBudget()));
+            mod_, dispatch_, guard::defaultBudget()));
     }
     catch (const Error &e) {
         // A deterministic failure (trap, fuel, truncation, ...) would

@@ -26,7 +26,6 @@
 #include "rt/report.hpp"
 #include "trace/batch.hpp"
 #include "trace/format.hpp"
-#include "trace/index.hpp"
 #include "prof/timed_mutex.hpp"
 
 namespace lp::core {
@@ -97,9 +96,6 @@ class Loopapalooza
     /** The compile-time component's output. */
     const rt::ModulePlan &plan() const { return *plan_; }
 
-    /** Stable function/block numbering shared by recorder and replay. */
-    const trace::ModuleIndex &traceIndex() const { return *index_; }
-
     const ir::Module &module() const { return mod_; }
 
     /**
@@ -112,8 +108,8 @@ class Loopapalooza
     /**
      * The program's per-block dispatch table (rt::buildDispatchTable):
      * every per-block/per-instruction fact the engine needs, lowered
-     * into contiguous arrays indexed by trace ids.  Config-independent
-     * and built in the constructor.
+     * into contiguous arrays indexed by the IR's dense ids (the ids the
+     * trace carries).  Config-independent and built in the constructor.
      */
     const trace::BatchDispatchTable &dispatchTable() const
     {
@@ -123,7 +119,6 @@ class Loopapalooza
   private:
     const ir::Module &mod_;
     std::unique_ptr<rt::ModulePlan> plan_;
-    std::unique_ptr<trace::ModuleIndex> index_;
     trace::BatchDispatchTable dispatch_;
 
     mutable prof::TimedMutex traceMu_{"core.trace_record"};

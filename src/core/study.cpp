@@ -78,7 +78,6 @@ Study::prepare(const std::vector<BenchProgram> &programs,
         // the verdict vector needs no lock; the pool joins inside
         // parallelFor before we read it.
         std::vector<guard::RunVerdict> verdicts(programs.size());
-        guard::GuardPolicy policy; // keepGoing=true: guardedRun swallows
         exec::parallelFor(
             programs.size(),
             [&](std::size_t i) {
@@ -87,8 +86,7 @@ Study::prepare(const std::vector<BenchProgram> &programs,
                     [&] {
                         programs_[i] = std::make_unique<PreparedProgram>(
                             programs[i]);
-                    },
-                    policy);
+                    });
             },
             opts.jobs);
         for (std::size_t i = 0; i < programs.size(); ++i) {

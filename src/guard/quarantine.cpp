@@ -1,7 +1,6 @@
 #include "guard/quarantine.hpp"
 
 #include <chrono>
-#include <exception>
 #include <thread>
 
 #include "obs/log.hpp"
@@ -12,11 +11,9 @@
 namespace lp::guard {
 
 RunVerdict
-guardedRun(const std::string &what, const std::function<void()> &fn,
-           const GuardPolicy &policy)
+guardedRun(const std::string &what, const std::function<void()> &fn)
 {
     RunVerdict v;
-    std::exception_ptr lastError;
     for (int attempt = 1;; ++attempt) {
         v.attempts = attempt;
         try {
@@ -27,25 +24,22 @@ guardedRun(const std::string &what, const std::function<void()> &fn,
         } catch (const Error &e) {
             v.code = e.code();
             v.message = e.what();
-            lastError = std::current_exception();
         } catch (const std::exception &e) {
             // Pre-taxonomy FatalErrors and anything else land here.
             v.code = ErrorCode::Internal;
             v.message = e.what();
-            lastError = std::current_exception();
         }
         v.ok = false;
 
-        if (errorIsTransient(v.code) && attempt <= policy.maxRetries) {
+        if (errorIsTransient(v.code) && attempt <= kMaxRetries) {
             if (obs::metricsOn())
                 obs::Registry::instance().counter("guard.retries").add(1);
             LP_LOG_WARN("transient failure in %s (attempt %d, %s): %s; "
                         "retrying",
                         what.c_str(), attempt, v.codeName(),
                         v.message.c_str());
-            if (policy.backoffBaseMs != 0)
-                std::this_thread::sleep_for(std::chrono::milliseconds(
-                    policy.backoffBaseMs << (attempt - 1)));
+            std::this_thread::sleep_for(std::chrono::milliseconds(
+                kBackoffBaseMs << (attempt - 1)));
             continue;
         }
 
@@ -58,8 +52,6 @@ guardedRun(const std::string &what, const std::function<void()> &fn,
         LP_LOG_WARN("quarantined %s after %d attempt(s) [%s]: %s",
                     what.c_str(), attempt, v.codeName(),
                     v.message.c_str());
-        if (!policy.keepGoing)
-            std::rethrow_exception(lastError);
         return v;
     }
 }

@@ -8,13 +8,12 @@
  *
  *  - the unit succeeds → verdict.ok, with the attempt count;
  *  - it fails with a *transient* category (errorIsTransient: LP_IO,
- *    LP_DEADLINE) → retried up to maxRetries times with exponential
- *    backoff (backoffBaseMs, doubling);
+ *    LP_DEADLINE) → retried up to kMaxRetries times with exponential
+ *    backoff (kBackoffBaseMs, doubling);
  *  - it fails deterministically (or exhausts retries) → quarantined:
- *    the verdict records the stable error code and message, and — in
- *    keep-going mode — the exception is swallowed so sibling units keep
- *    running.  With keepGoing=false the original exception is rethrown
- *    after the verdict is recorded (strict mode).
+ *    the verdict records the stable error code and message, and the
+ *    exception is swallowed so sibling units keep running.  Strict
+ *    sweeps do not guard their units at all: the first error aborts.
  *
  * Observability (docs/robustness.md): each attempt runs under a "guard"
  * phase timer; retries bump guard.retries, quarantines bump
@@ -31,16 +30,10 @@
 
 namespace lp::guard {
 
-/** Retry/quarantine policy for one guarded unit. */
-struct GuardPolicy
-{
-    /** Swallow failures (record + continue) instead of rethrowing. */
-    bool keepGoing = true;
-    /** Extra attempts granted to transient failures. */
-    int maxRetries = 2;
-    /** First retry backoff; doubles per retry.  0 = no sleep (tests). */
-    unsigned backoffBaseMs = 5;
-};
+/** Extra attempts granted to a transient failure. */
+constexpr int kMaxRetries = 2;
+/** First retry backoff; doubles per retry. */
+constexpr unsigned kBackoffBaseMs = 5;
 
 /** What happened to one guarded unit. */
 struct RunVerdict
@@ -54,12 +47,10 @@ struct RunVerdict
 };
 
 /**
- * Run @p fn under @p policy; @p what names the unit in logs
- * ("saxpy [reduc1-dep2-fn2 PDOALL]").  Never throws in keep-going mode;
- * in strict mode rethrows the final failure untouched.
+ * Run @p fn, retrying transient failures; @p what names the unit in
+ * logs ("saxpy [reduc1-dep2-fn2 PDOALL]").  Never throws.
  */
 RunVerdict guardedRun(const std::string &what,
-                      const std::function<void()> &fn,
-                      const GuardPolicy &policy = {});
+                      const std::function<void()> &fn);
 
 } // namespace lp::guard

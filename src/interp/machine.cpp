@@ -6,7 +6,6 @@
 
 #include "guard/fault.hpp"
 #include "obs/metrics.hpp"
-#include "prof/collector.hpp"
 #include "support/error.hpp"
 #include "support/text.hpp"
 #include "trace/recorder.hpp"
@@ -42,9 +41,7 @@ asI64(std::uint64_t bits)
  * Instructions between wall-clock deadline polls.  A clock read every
  * ~262k instructions is a few hundred reads per simulated second —
  * invisible next to the interpreter loop — while bounding deadline
- * overshoot to a few milliseconds.  The profiler piggybacks on the
- * same poll (prof::kEpochStrideInstructions matches this stride) to
- * flush interp/record time epochs without adding a hot-loop branch.
+ * overshoot to a few milliseconds.
  */
 constexpr std::uint64_t kDeadlineStride = 1ULL << 18;
 
@@ -91,8 +88,8 @@ struct ListenerSink
 
 /**
  * Trace-recording path: forwards each event to the Recorder together
- * with the machine-clock sample taken at the call-back point, all as
- * direct calls.
+ * with the machine state it encodes (stack pointer, position in the
+ * block), all as direct calls.
  */
 struct RecorderSink
 {
@@ -100,24 +97,24 @@ struct RecorderSink
     const Machine *m;
 
     void functionEnter(const ir::Function *fn) { r->functionEnter(fn); }
-    void functionExit(const ir::Function *) { r->functionExit(m->cost()); }
+    void functionExit(const ir::Function *) { r->functionExit(); }
     void blockEnter(const ir::BasicBlock *bb)
     {
-        r->blockEnter(bb, m->cost(), m->stackPointer());
+        r->blockEnter(bb, m->stackPointer());
     }
     void phiResolved(const Instruction *, std::uint64_t bits)
     {
         r->phiResolved(bits);
     }
-    void load(const Instruction *i, std::uint64_t a)
+    void load(const Instruction *, std::uint64_t a)
     {
-        r->load(i, a, m->preciseCost());
+        r->load(m->ipInBlock(), a);
     }
-    void store(const Instruction *i, std::uint64_t a)
+    void store(const Instruction *, std::uint64_t a)
     {
-        r->store(i, a, m->preciseCost());
+        r->store(m->ipInBlock(), a);
     }
-    void callSite(const Instruction *i) { r->callSite(i); }
+    void callSite(const Instruction *i) { r->callSite(i, m->ipInBlock()); }
 };
 
 } // namespace
@@ -157,32 +154,10 @@ Machine::throwFuelExhausted(const ir::Function *fn) const
 }
 
 void
-Machine::flushEpoch()
-{
-    const auto now = std::chrono::steady_clock::now();
-    const std::uint64_t instructions = cost_ - epochStartCost_;
-    const auto ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            now - epochStartTime_)
-            .count();
-    if (instructions > 0 || ns > 0)
-        prof::Collector::instance().addEpoch(
-            recorder_ ? prof::EpochKind::Record : prof::EpochKind::Interp,
-            instructions, static_cast<std::uint64_t>(ns));
-    epochStartCost_ = cost_;
-    epochStartTime_ = now;
-}
-
-void
 Machine::pollBudgets(const ir::Function *fn)
 {
     nextPollCost_ = cost_ + kDeadlineStride;
-    // Attribute before any deadline throw: an aborted run's time is
-    // still time spent.
-    if (profiling_)
-        flushEpoch();
-    if (wallLimitMs_ == 0 ||
-        std::chrono::steady_clock::now() <= deadline_)
+    if (std::chrono::steady_clock::now() <= deadline_)
         return;
     throw ResourceExhausted(
         ErrorCode::Deadline,
@@ -199,14 +174,10 @@ Machine::run()
     fatalIf(ran_, "Machine::run may only be called once");
     ran_ = true;
     guard::faultPoint("interp");
-    profiling_ = prof::profilingOn();
-    if (wallLimitMs_ != 0)
+    if (wallLimitMs_ != 0) {
         deadline_ = std::chrono::steady_clock::now() +
                     std::chrono::milliseconds(wallLimitMs_);
-    if (wallLimitMs_ != 0 || profiling_) {
         nextPollCost_ = 0; // first block reaches the cold poll
-        epochStartCost_ = cost_;
-        epochStartTime_ = std::chrono::steady_clock::now();
     }
 
     for (const auto &g : mod_.globals()) {
@@ -221,8 +192,6 @@ Machine::run()
     fatalIf(!main->args().empty(), "main() must take no arguments");
     std::uint64_t result = execFunction(main, {});
 
-    if (profiling_)
-        flushEpoch(); // attribute the tail of the final epoch
     if (obs::metricsOn()) {
         obs::Registry &reg = obs::Registry::instance();
         reg.counter("interp.instructions").add(cost_);

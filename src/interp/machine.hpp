@@ -16,6 +16,11 @@
  * need no per-run state at all: their segment offsets are assigned
  * immutably at module construction and every Machine maps the segment
  * at the same fixed base.
+ *
+ * The interpreter loop carries no profiling: the limit-study engine
+ * wraps each whole run in a phase-scoped profiler epoch
+ * (prof::EpochScope), so the only per-block poll is the wall-clock
+ * deadline.
  */
 
 #pragma once
@@ -70,6 +75,9 @@ class Machine
         return cost_ - curBlockSize_ + ipInBlock_ + 1;
     }
 
+    /** Index of the executing instruction within its basic block. */
+    std::uint64_t ipInBlock() const { return ipInBlock_; }
+
     /** Current top of the simulated stack. */
     std::uint64_t stackPointer() const { return sp_; }
 
@@ -79,9 +87,6 @@ class Machine
     /** Execute @p fn with @p args (bit patterns); used by call handling. */
     std::uint64_t execFunction(const ir::Function *fn,
                                const std::vector<std::uint64_t> &args);
-
-    /** Charge @p n extra cost units (external function bodies). */
-    void charge(std::uint64_t n) { cost_ += n; }
 
     /** Abort execution when the dynamic instruction count exceeds this. */
     void setCostLimit(std::uint64_t limit) { costLimit_ = limit; }
@@ -102,8 +107,9 @@ class Machine
      * Record the run into @p r instead of firing listener call-backs.
      * The recorder becomes the (devirtualized) instrumentation sink:
      * every event reaches it as a direct call together with the machine
-     * clock samples it needs, and any listener passed at construction
-     * is ignored for the run.  Set before run().
+     * state it needs (stack pointer, position in the block), and any
+     * listener passed at construction is ignored for the run.  Set
+     * before run().
      */
     void setRecorder(trace::Recorder *r) { recorder_ = r; }
 
@@ -125,16 +131,11 @@ class Machine
                                    Sink sink);
     [[noreturn]] void throwFuelExhausted(const ir::Function *fn) const;
     /**
-     * The unified cold poll, reached every ~262k instructions when a
-     * wall-clock deadline is armed or profiling is on (nextPollCost_ is
-     * UINT64_MAX otherwise, so the hot path stays one compare).  It
-     * attributes the elapsed epoch to the profiler, then checks the
-     * deadline — profiling an extra concern into an existing poll
-     * instead of adding a branch of its own.
+     * The cold deadline poll, reached every ~262k instructions when a
+     * wall-clock deadline is armed (nextPollCost_ is UINT64_MAX
+     * otherwise, so the hot path stays one compare).
      */
     void pollBudgets(const ir::Function *fn);
-    /** Attribute instructions/wall-ns since the last epoch mark. */
-    void flushEpoch();
 
     const ir::Module &mod_;
     ExecListener *listener_;
@@ -145,9 +146,6 @@ class Machine
     std::uint64_t wallLimitMs_ = 0; ///< 0 = no deadline
     std::uint64_t nextPollCost_ = UINT64_MAX; ///< armed by run()
     std::chrono::steady_clock::time_point deadline_{};
-    bool profiling_ = false; ///< sampled once per run()
-    std::uint64_t epochStartCost_ = 0;
-    std::chrono::steady_clock::time_point epochStartTime_{};
     std::uint64_t curBlockSize_ = 0;
     std::uint64_t ipInBlock_ = 0;
     std::uint64_t sp_ = Memory::kStackBase;

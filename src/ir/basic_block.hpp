@@ -57,6 +57,14 @@ class BasicBlock
     unsigned index() const { return index_; }
     void setIndex(unsigned i) { index_ = i; }
 
+    /**
+     * Dense module-wide index: blocks numbered function by function, in
+     * Module::functions() order (set by Module::finalize).  The trace
+     * and the dispatch table name blocks by it.
+     */
+    unsigned globalIndex() const { return globalIndex_; }
+    void setGlobalIndex(unsigned i) { globalIndex_ = i; }
+
   private:
     friend class Function;
 
@@ -65,6 +73,7 @@ class BasicBlock
     std::vector<std::unique_ptr<Instruction>> instrs_;
     std::vector<BasicBlock *> preds_;
     unsigned index_ = ~0u;
+    unsigned globalIndex_ = ~0u;
 };
 
 } // namespace lp::ir

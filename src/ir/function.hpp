@@ -126,12 +126,21 @@ class Function
 
     bool finalized() const { return numLocals_ != 0; }
 
+    /**
+     * Dense position in the owning module's functions() list (assigned
+     * by Module::addFunction); the trace and the dispatch table name
+     * functions by it.
+     */
+    unsigned index() const { return index_; }
+    void setIndex(unsigned i) { index_ = i; }
+
   private:
     std::string name_;
     Type retType_;
     std::vector<std::unique_ptr<Argument>> args_;
     std::vector<std::unique_ptr<BasicBlock>> blocks_;
     unsigned numLocals_ = 0;
+    unsigned index_ = 0;
 };
 
 } // namespace lp::ir

@@ -12,6 +12,7 @@ Module::addFunction(std::string name, Type retType)
     fatalIf(findFunction(name) != nullptr,
             "duplicate function name: " + name);
     funcs_.push_back(std::make_unique<Function>(std::move(name), retType));
+    funcs_.back()->setIndex(static_cast<unsigned>(funcs_.size() - 1));
     return funcs_.back().get();
 }
 
@@ -89,8 +90,12 @@ Module::findFunction(const std::string &name) const
 void
 Module::finalize()
 {
-    for (auto &f : funcs_)
+    unsigned nextBlock = 0;
+    for (auto &f : funcs_) {
         f->renumberLocals();
+        for (const auto &bb : f->blocks())
+            bb->setGlobalIndex(nextBlock++);
+    }
 }
 
 } // namespace lp::ir

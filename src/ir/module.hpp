@@ -63,7 +63,10 @@ class Module
     /** The program entry point; by convention the function named "main". */
     Function *mainFunction() const { return findFunction("main"); }
 
-    /** Renumber every function; call once construction is complete. */
+    /**
+     * Renumber every function and give every block its module-wide
+     * BasicBlock::globalIndex(); call once construction is complete.
+     */
     void finalize();
 
     /** Print the whole module as text (for debugging and golden tests). */

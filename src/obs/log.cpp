@@ -124,9 +124,7 @@ initFromEnv()
     }
 
     const char *metrics = std::getenv("LP_METRICS");
-    const char *legacy = std::getenv("LP_OBS");
-    if ((metrics && *metrics && std::string(metrics) != "0") ||
-        (legacy && *legacy && std::string(legacy) != "0"))
+    if (metrics && *metrics && std::string(metrics) != "0")
         setMetricsEnabled(true);
 
     if (const char *trace = std::getenv("LP_TRACE")) {

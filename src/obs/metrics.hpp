@@ -3,11 +3,11 @@
  * Process-wide metrics registry: named counters, gauges, and
  * fixed-bucket histograms.
  *
- * Recording is off by default (`LP_METRICS=1`, `LP_OBS=1`, or any
- * `LP_TRACE` sink turns it on).  Hot-path call sites cache the metric
- * pointer once and guard each update with metricsOn(), which inlines to
- * a single relaxed atomic-bool test — with metrics disabled the whole
- * update is one well-predicted branch.
+ * Recording is off by default (`LP_METRICS=1` or any `LP_TRACE` sink
+ * turns it on).  Hot-path call sites cache the metric pointer once and
+ * guard each update with metricsOn(), which inlines to a single relaxed
+ * atomic-bool test — with metrics disabled the whole update is one
+ * well-predicted branch.
  *
  * Thread-safety (see docs/observability.md): every update path is safe
  * under concurrent use by lp::exec workers.  Counters and histograms

@@ -457,6 +457,22 @@ Collector::laneIdleAt(unsigned worker, std::uint64_t endNs)
         endNs, std::memory_order_relaxed);
 }
 
+// ----------------------------------------------------------- EpochScope
+
+EpochScope::EpochScope(EpochKind kind) : kind_(kind), active_(profilingOn())
+{
+    if (active_)
+        startNs_ = Collector::instance().nowNs();
+}
+
+EpochScope::~EpochScope()
+{
+    if (!active_)
+        return;
+    Collector &c = Collector::instance();
+    c.addEpoch(kind_, instructions_, c.nowNs() - startNs_);
+}
+
 // ------------------------------------------------------------ CellScope
 
 CellScope::CellScope(const std::string &program, const std::string &suite,

@@ -17,9 +17,10 @@
  *    (TaskScope).  In json mode each record is also streamed to
  *    `<PATH>.cells.jsonl` the moment the work finishes, so a killed
  *    sweep still leaves its telemetry;
- *  - execution epochs: the interpret/record/engine hot loops attribute
- *    (instructions, wall-ns) chunks to the calling worker every ~262k
- *    instructions, piggybacking on the existing budget poll.
+ *  - execution epochs: each live engine pass, recording and trace
+ *    replay attributes its (instructions, wall-ns) to the calling
+ *    worker once, from an EpochScope around the phase that ran it —
+ *    the hot loops themselves carry no profiling.
  *
  * finish() rolls everything into the profile outputs: a JSON document
  * (contention + per-worker utilization/imbalance + per-cell records) or
@@ -190,6 +191,31 @@ class Collector
     std::atomic<std::uint64_t> laneIdleSinceNs_[kMaxLanes];
 
     EpochSlot epochs_[kMaxLanes];
+};
+
+/**
+ * RAII attribution of one execution phase (a recording, a trace replay
+ * or a live engine pass) to the calling worker's epoch totals: the
+ * destructor adds the scope's wall time and the instructions given to
+ * addInstructions().  A no-op while profiling is off.  An unwound scope
+ * still attributes its wall time: an aborted run's time is time spent.
+ */
+class EpochScope
+{
+  public:
+    explicit EpochScope(EpochKind kind);
+    ~EpochScope();
+
+    EpochScope(const EpochScope &) = delete;
+    EpochScope &operator=(const EpochScope &) = delete;
+
+    void addInstructions(std::uint64_t n) { instructions_ += n; }
+
+  private:
+    EpochKind kind_;
+    bool active_;
+    std::uint64_t startNs_ = 0;
+    std::uint64_t instructions_ = 0;
 };
 
 /**

@@ -41,7 +41,6 @@
 #include <algorithm>
 #include <bit>
 #include <cctype>
-#include <chrono>
 #include <memory>
 #include <unordered_map>
 
@@ -67,13 +66,8 @@ namespace {
 class LaneEngine
 {
   public:
-    /**
-     * @param profiling attribute ReplayBatch epochs to the profiler
-     *        (off for live passes: the interpreter attributes those)
-     */
     LaneEngine(const ModulePlan &plan, const trace::BatchDispatchTable &table,
-               const std::vector<LPConfig> &cfgs, OracleCapture *oracle,
-               bool profiling)
+               const std::vector<LPConfig> &cfgs, OracleCapture *oracle)
         : plan_(plan), table_(table), cfgs_(cfgs), L_(cfgs.size()),
           oracle_(oracle), metrics_(obs::metricsOn())
     {
@@ -163,14 +157,6 @@ class LaneEngine
         laneTotal_.assign(L_, 0);
         savingUp_.resize(L_);
         covered_.resize(L_);
-
-        // Epoch attribution piggybacks on block entry: one compare
-        // against a sentinel that is UINT64_MAX when profiling is off.
-        profiling_ = profiling && prof::profilingOn();
-        nextEpochCost_ =
-            profiling_ ? prof::kEpochStrideInstructions : UINT64_MAX;
-        if (profiling_)
-            epochStartTime_ = std::chrono::steady_clock::now();
     }
 
     /// @name Sink interface for trace::replayDispatch and LiveFeed
@@ -210,17 +196,16 @@ class LaneEngine
         }
     }
 
-    /** @param sp stack pointer at entry (read for header blocks only) */
+    /**
+     * @param nowBefore clock before the block's charge
+     * @param sp stack pointer at entry (read for header blocks only)
+     */
     void
-    onBlockEnter(std::uint64_t blockId,
+    onBlockEnter(std::uint64_t /*blockId*/,
                  const trace::BatchDispatchTable::BlockInfo &bi,
-                 std::uint64_t nowBefore, std::uint64_t now,
+                 std::uint64_t nowBefore, std::uint64_t /*now*/,
                  std::uint64_t sp)
     {
-        (void)blockId;
-        if (now >= nextEpochCost_) [[unlikely]]
-            flushEpoch(now);
-
         // Pop every instance that does not contain this block.
         EFrame &f = eframes_[frameDepth_ - 1];
         while (instStack_.size() > f.loopLo &&
@@ -359,8 +344,6 @@ class LaneEngine
     finish(const std::string &name, std::uint64_t serialCost)
     {
         panicIf(frameDepth_ != 0, "engine finished with live frames");
-        if (profiling_)
-            flushEpoch(serialCost);
 
         // Predictor statistics: a lane sees a phi's shared statistics
         // when dep2 tracks it there (and a carried value was seen).
@@ -973,27 +956,6 @@ class LaneEngine
         return rep;
     }
 
-    void
-    flushEpoch(std::uint64_t cost)
-    {
-        const auto now = std::chrono::steady_clock::now();
-        // Per-lane attribution: every lane advanced by the same cost
-        // delta, so the epoch carries lanes x delta instructions.
-        const std::uint64_t instructions =
-            (cost - epochStartCost_) * static_cast<std::uint64_t>(L_);
-        const auto ns =
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                now - epochStartTime_)
-                .count();
-        if (instructions > 0 || ns > 0)
-            prof::Collector::instance().addEpoch(
-                prof::EpochKind::ReplayBatch, instructions,
-                static_cast<std::uint64_t>(ns));
-        epochStartCost_ = cost;
-        epochStartTime_ = now;
-        nextEpochCost_ = cost + prof::kEpochStrideInstructions;
-    }
-
     const ModulePlan &plan_;
     const trace::BatchDispatchTable &table_;
     const std::vector<LPConfig> cfgs_;
@@ -1071,25 +1033,19 @@ class LaneEngine
 
     std::unordered_map<const Instruction *, std::unique_ptr<PhiState>>
         phiStates_;
-
-    bool profiling_ = false;
-    std::uint64_t nextEpochCost_ = UINT64_MAX;
-    std::uint64_t epochStartCost_ = 0;
-    std::chrono::steady_clock::time_point epochStartTime_{};
 };
 
 /**
  * The live event source: an interpreter sink that hands the engine the
- * samples the trace::Recorder would have encoded — block id, the clock
- * before and after the block's charge, the stack pointer, and the
- * precise clock at each load and store.
+ * samples trace::replayDispatch would have reconstructed — block id,
+ * the clock before and after the block's charge, the stack pointer,
+ * and the precise clock at each load and store.
  */
 class LiveFeed : public interp::ExecListener
 {
   public:
-    LiveFeed(LaneEngine &engine, const trace::ModuleIndex &index,
-             const trace::BatchDispatchTable &table)
-        : engine_(engine), index_(index), table_(table)
+    LiveFeed(LaneEngine &engine, const trace::BatchDispatchTable &table)
+        : engine_(engine), table_(table)
     {}
 
     void attach(const interp::Machine &m) { machine_ = &m; }
@@ -1109,7 +1065,7 @@ class LiveFeed : public interp::ExecListener
     void
     onBlockEnter(const ir::BasicBlock *bb) override
     {
-        const std::uint32_t id = index_.blockId(bb);
+        const std::uint32_t id = bb->globalIndex();
         const trace::BatchDispatchTable::BlockInfo &bi = table_.blocks[id];
         inHeader_ = bi.headerOrdinal >= 0;
         const std::uint64_t now = machine_->cost();
@@ -1140,7 +1096,6 @@ class LiveFeed : public interp::ExecListener
 
   private:
     LaneEngine &engine_;
-    const trace::ModuleIndex &index_;
     const trace::BatchDispatchTable &table_;
     const interp::Machine *machine_ = nullptr;
     bool inHeader_ = false;
@@ -1149,13 +1104,14 @@ class LiveFeed : public interp::ExecListener
 } // namespace
 
 trace::BatchDispatchTable
-buildDispatchTable(const ModulePlan &plan, const trace::ModuleIndex &index)
+buildDispatchTable(const ModulePlan &plan)
 {
-    trace::BatchDispatchTable table = trace::buildBatchDispatchTable(index);
+    trace::BatchDispatchTable table =
+        trace::buildBatchDispatchTable(plan.module());
     for (const auto &fp : plan.functionPlans())
         for (const LoopPlan &lplan : fp->loopPlans)
             if (lplan.loop)
-                table.blocks[index.blockId(lplan.loop->header())]
+                table.blocks[lplan.loop->header()->globalIndex()]
                     .headerOrdinal =
                     static_cast<std::int32_t>(lplan.ordinal);
 
@@ -1164,7 +1120,7 @@ buildDispatchTable(const ModulePlan &plan, const trace::ModuleIndex &index)
     std::vector<const std::vector<PlannedDefWatch> *> byBlock(
         table.blocks.size(), nullptr);
     for (const auto &[bb, ws] : plan.defWatchPlan())
-        byBlock[index.blockId(bb)] = &ws;
+        byBlock[bb->globalIndex()] = &ws;
     for (std::size_t b = 0; b < byBlock.size(); ++b) {
         trace::BatchDispatchTable::BlockInfo &bi = table.blocks[b];
         bi.firstWatch = static_cast<std::uint32_t>(table.defWatches.size());
@@ -1179,28 +1135,25 @@ buildDispatchTable(const ModulePlan &plan, const trace::ModuleIndex &index)
 }
 
 trace::Trace
-recordTrace(const ir::Module &mod, const trace::ModuleIndex &index,
-            const trace::BatchDispatchTable &table,
+recordTrace(const ir::Module &mod, const trace::BatchDispatchTable &table,
             const guard::RunBudget &budget)
 {
     obs::ScopedPhase phase("record");
-    std::vector<bool> headers(table.blocks.size(), false);
-    for (std::size_t b = 0; b < table.blocks.size(); ++b)
-        headers[b] = table.blocks[b].headerOrdinal >= 0;
-    trace::Recorder rec(index, std::move(headers), budget.maxTraceBytes);
+    prof::EpochScope epoch(prof::EpochKind::Record);
+    trace::Recorder rec(table, budget.maxTraceBytes);
     interp::Machine machine(mod, nullptr);
     machine.setBudget(budget);
     machine.setRecorder(&rec);
     machine.run();
     phase.addInstructions(machine.cost());
+    epoch.addInstructions(machine.cost());
     return rec.finish(machine.cost());
 }
 
 std::vector<ProgramReport>
-evaluate(const ModulePlan &plan, const trace::ModuleIndex &index,
-         const trace::BatchDispatchTable &table, const trace::Trace *t,
-         const std::vector<LPConfig> &cfgs, const std::string &name,
-         OracleCapture *oracle)
+evaluate(const ModulePlan &plan, const trace::BatchDispatchTable &table,
+         const trace::Trace *t, const std::vector<LPConfig> &cfgs,
+         const std::string &name, OracleCapture *oracle)
 {
     if (cfgs.empty())
         return {};
@@ -1209,39 +1162,44 @@ evaluate(const ModulePlan &plan, const trace::ModuleIndex &index,
             throw IoError("trace of " + name +
                           " is truncated (recording hit the trace byte "
                           "budget); raise LP_BUDGET_TRACE_BYTES");
-        if (t->numFunctions != index.numFunctions() ||
-            t->numBlocks != index.numBlocks())
+        if (t->numFunctions != table.functions.size() ||
+            t->numBlocks != table.blocks.size())
             throw IoError(
                 "trace of " + name +
                 " does not match the module (trace: " +
                 std::to_string(t->numFunctions) + " functions / " +
                 std::to_string(t->numBlocks) + " blocks, module: " +
-                std::to_string(index.numFunctions()) + " / " +
-                std::to_string(index.numBlocks()) + ")");
+                std::to_string(table.functions.size()) + " / " +
+                std::to_string(table.blocks.size()) + ")");
         guard::faultPoint("replay");
     }
 
     std::unique_ptr<LaneEngine> engine;
     {
         obs::ScopedPhase phase("plan");
-        engine = std::make_unique<LaneEngine>(plan, table, cfgs, oracle,
-                                              /*profiling=*/t != nullptr);
+        engine = std::make_unique<LaneEngine>(plan, table, cfgs, oracle);
     }
     std::uint64_t finalCost = 0;
     if (t) {
         obs::ScopedPhase phase("replay_batch");
+        prof::EpochScope epoch(prof::EpochKind::ReplayBatch);
         trace::replayDispatch(table, *t, *engine);
         finalCost = t->finalCost;
-        phase.addInstructions(finalCost *
-                              static_cast<std::uint64_t>(cfgs.size()));
+        // Every lane advanced by the whole clock.
+        const std::uint64_t laneInstructions =
+            finalCost * static_cast<std::uint64_t>(cfgs.size());
+        phase.addInstructions(laneInstructions);
+        epoch.addInstructions(laneInstructions);
     } else {
         obs::ScopedPhase phase("interpret");
-        LiveFeed feed(*engine, index, table);
+        prof::EpochScope epoch(prof::EpochKind::Interp);
+        LiveFeed feed(*engine, table);
         interp::Machine machine(plan.module(), &feed);
         feed.attach(machine);
         machine.run();
         finalCost = machine.cost();
         phase.addInstructions(finalCost);
+        epoch.addInstructions(finalCost);
     }
 
     obs::ScopedPhase phase("report");

@@ -17,7 +17,7 @@
  * recorded once per program (recordTrace + trace::replayDispatch).
  * When the recording outgrew the trace byte budget the payload is
  * useless, and the pass interprets the program instead, feeding the
- * engine the same samples the Recorder would have encoded.  Reports
+ * engine the same samples replay would have reconstructed.  Reports
  * are byte-identical either way.
  *
  * Consistency oracle.  With an OracleCapture attached, the pass also
@@ -43,7 +43,6 @@
 #include "rt/report.hpp"
 #include "trace/batch.hpp"
 #include "trace/format.hpp"
-#include "trace/index.hpp"
 
 namespace lp::rt {
 
@@ -51,14 +50,13 @@ namespace lp::rt {
 constexpr std::size_t kMaxLanes = 64;
 
 /**
- * The program's dispatch table (trace::buildBatchDispatchTable) with
- * the compile-time loop facts filled in: the loop each header block
- * heads and the def watches sampled in each block.  All of it is
+ * The dispatch table of plan.module() (trace::buildBatchDispatchTable)
+ * with the compile-time loop facts filled in: the loop each header
+ * block heads and the def watches sampled in each block.  All of it is
  * configuration-independent, so one table per program serves every
  * pass, recorded or live.
  */
-trace::BatchDispatchTable buildDispatchTable(const ModulePlan &plan,
-                                             const trace::ModuleIndex &index);
+trace::BatchDispatchTable buildDispatchTable(const ModulePlan &plan);
 
 /**
  * Record one run of @p mod into a trace: the machine runs with the
@@ -67,7 +65,6 @@ trace::BatchDispatchTable buildDispatchTable(const ModulePlan &plan,
  * the cap).
  */
 trace::Trace recordTrace(const ir::Module &mod,
-                         const trace::ModuleIndex &index,
                          const trace::BatchDispatchTable &table,
                          const guard::RunBudget &budget);
 
@@ -84,8 +81,8 @@ trace::Trace recordTrace(const ir::Module &mod,
  *         module, or is malformed.
  */
 std::vector<ProgramReport>
-evaluate(const ModulePlan &plan, const trace::ModuleIndex &index,
-         const trace::BatchDispatchTable &table, const trace::Trace *t,
+evaluate(const ModulePlan &plan, const trace::BatchDispatchTable &table,
+         const trace::Trace *t,
          const std::vector<LPConfig> &cfgs, const std::string &name,
          OracleCapture *oracle = nullptr);
 

@@ -3,27 +3,28 @@
 namespace lp::trace {
 
 BatchDispatchTable
-buildBatchDispatchTable(const ModuleIndex &index)
+buildBatchDispatchTable(const ir::Module &mod)
 {
     BatchDispatchTable table;
-    table.functions.reserve(index.numFunctions());
-    for (std::uint32_t f = 0; f < index.numFunctions(); ++f)
-        table.functions.push_back(index.functionById(f));
-
-    table.blocks.resize(index.numBlocks());
-    for (std::uint32_t b = 0; b < index.numBlocks(); ++b) {
-        const ir::BasicBlock *bb = index.blockById(b);
-        BatchDispatchTable::BlockInfo &bi = table.blocks[b];
-        bi.bb = bb;
-        bi.fnId = index.info(bb->parent()).fnId;
-        bi.firstInstr = static_cast<std::uint32_t>(table.instrs.size());
-        bi.size = static_cast<std::uint32_t>(bb->instructions().size());
-        for (const auto &instr : bb->instructions()) {
-            table.instrs.push_back(instr.get());
-            table.callCost.push_back(
-                instr->opcode() == ir::Opcode::CallExt
-                    ? instr->externalCallee()->cost()
-                    : 0);
+    table.functions.reserve(mod.functions().size());
+    for (const auto &fn : mod.functions()) {
+        table.functions.push_back(fn.get());
+        for (const auto &bb : fn->blocks()) {
+            fatalIf(bb->globalIndex() != table.blocks.size(),
+                    "block ids of @" + fn->name() +
+                        " are stale: finalize the module first");
+            BatchDispatchTable::BlockInfo &bi = table.blocks.emplace_back();
+            bi.bb = bb.get();
+            bi.fnId = fn->index();
+            bi.firstInstr = static_cast<std::uint32_t>(table.instrs.size());
+            bi.size = static_cast<std::uint32_t>(bb->instructions().size());
+            for (const auto &instr : bb->instructions()) {
+                table.instrs.push_back(instr.get());
+                table.callCost.push_back(
+                    instr->opcode() == ir::Opcode::CallExt
+                        ? instr->externalCallee()->cost()
+                        : 0);
+            }
         }
     }
     return table;

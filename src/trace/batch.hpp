@@ -2,10 +2,11 @@
  * @file
  * The per-block dispatch table and the one trace decoder.
  *
- * A recorded trace names blocks, functions and instructions by the
- * dense ids of trace::ModuleIndex.  This header provides the two
- * pieces that turn such a stream into fully resolved events, once per
- * program and pass:
+ * A recorded trace names the IR by its own dense ids: functions by
+ * ir::Function::index(), blocks by ir::BasicBlock::globalIndex() and
+ * instructions by their position within their block.  This header
+ * provides the two pieces that turn such a stream into fully resolved
+ * events, once per program and pass:
  *
  *  - BatchDispatchTable: every per-block-id fact the limit-study
  *    engine needs (owning function id, instruction count, flat
@@ -35,7 +36,6 @@
 #include "ir/module.hpp"
 #include "support/error.hpp"
 #include "trace/format.hpp"
-#include "trace/index.hpp"
 
 namespace lp::trace {
 
@@ -71,8 +71,8 @@ struct BatchDispatchTable
         std::uint64_t offsetInBlock = 0;
     };
 
-    std::vector<BlockInfo> blocks;            ///< by global block id
-    std::vector<const ir::Function *> functions; ///< by function id
+    std::vector<BlockInfo> blocks;            ///< by BasicBlock::globalIndex()
+    std::vector<const ir::Function *> functions; ///< by Function::index()
     /** Flat block-major instruction pointers. */
     std::vector<const ir::Instruction *> instrs;
     /**
@@ -87,10 +87,11 @@ struct BatchDispatchTable
 };
 
 /**
- * Lower @p index into the flat dispatch table (once per program).  The
- * loop facts stay empty; rt::buildDispatchTable fills them in.
+ * Lower finalized @p mod into the flat dispatch table (once per
+ * program).  The loop facts stay empty; rt::buildDispatchTable fills
+ * them in.
  */
-BatchDispatchTable buildBatchDispatchTable(const ModuleIndex &index);
+BatchDispatchTable buildBatchDispatchTable(const ir::Module &mod);
 
 /**
  * Decode @p t once and feed every event, fully resolved, to @p sink.
@@ -109,10 +110,9 @@ BatchDispatchTable buildBatchDispatchTable(const ModuleIndex &index);
  *   void onStore(const ir::Instruction *i, std::uint64_t addr,
  *                std::uint64_t preciseNow);
  *
- * Clock reconstruction mirrors the Recorder: block entry charges the
- * block size, Charge events add out-of-band cost, CallSite events add
- * the pre-resolved external charge, and the final clock is
- * cross-checked against the recording.
+ * Clock reconstruction follows the interpreter: block entry charges the
+ * block size, CallSite events add the pre-resolved external charge, and
+ * the final clock is cross-checked against the recording.
  *
  * @throws lp::IoError on any malformed or mismatched stream.
  */
@@ -209,9 +209,6 @@ replayDispatch(const BatchDispatchTable &table, const Trace &t,
                 sink.onStore(instr, e.b << 3, precise);
             break;
           }
-          case EventKind::Charge:
-            cost += e.a;
-            break;
           case EventKind::CallSite: {
             if (frames.empty() || !frames.back().cur)
                 throw IoError("trace call site outside a block");

@@ -47,7 +47,6 @@ PayloadWriter::event(const Event &e)
                                e.b - prevGranule_)));
         prevGranule_ = e.b;
         break;
-      case EventKind::Charge:
       case EventKind::CallSite:
         appendVarint(buf_, e.a);
         break;

@@ -6,8 +6,8 @@
  * model's speedup from the dynamic event stream" (Section III).  This
  * subsystem makes that literal: one recording run captures the exact
  * event stream the run-time component consumes — block entries, header
- * phi values, load/store granules, call sites, function entry/exit and
- * out-of-band cost charges — as a compact append-only byte stream, and
+ * phi values, load/store granules, call sites and function entry/exit —
+ * as a compact append-only byte stream, and
  * the limit-study engine evaluates every configuration of the program
  * from those bytes instead of re-interpreting it.
  *
@@ -23,7 +23,6 @@
  *                     zigzag(spGranule - prevSpGranule)
  *   Phi               zigzag(bits)
  *   Load / Store      varint ipInBlock, zigzag(granule - prevGranule)
- *   Charge            varint amount
  *   CallSite          varint ipInBlock
  *
  * Granules are 8-byte address units (addr >> 3) — the same granularity
@@ -49,7 +48,7 @@
 
 namespace lp::trace {
 
-/** Event tags; part of the payload encoding — append, never renumber. */
+/** Event tags: the first byte of each encoded event. */
 enum class EventKind : std::uint8_t {
     FuncEnter = 0,        ///< a = function id
     FuncExit = 1,         ///< (none)
@@ -58,12 +57,11 @@ enum class EventKind : std::uint8_t {
     Phi = 4,              ///< a = resolved bits
     Load = 5,             ///< a = instruction index in block, b = granule
     Store = 6,            ///< a = instruction index in block, b = granule
-    Charge = 7,           ///< a = out-of-band cost units (external bodies)
-    CallSite = 8,         ///< a = instruction index in block
+    CallSite = 7,         ///< a = instruction index in block
 };
 
 /** Number of distinct event kinds (decoder bound check). */
-constexpr std::uint8_t kNumEventKinds = 9;
+constexpr std::uint8_t kNumEventKinds = 8;
 
 /** One decoded event; operands are absolute (deltas already resolved). */
 struct Event
@@ -193,7 +191,6 @@ class PayloadReader
             e.b = prevGranule_ +=
                 static_cast<std::uint64_t>(zigzagDecode(varint()));
             break;
-          case EventKind::Charge:
           case EventKind::CallSite:
             e.a = varint();
             break;

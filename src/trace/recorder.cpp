@@ -4,19 +4,15 @@
 
 namespace lp::trace {
 
-Recorder::Recorder(const ModuleIndex &index,
-                   std::vector<bool> headerBlocks, std::uint64_t maxBytes)
-    : index_(index), headerBlocks_(std::move(headerBlocks)),
-      maxBytes_(maxBytes)
-{
-    headerBlocks_.resize(index_.numBlocks(), false);
-}
+Recorder::Recorder(const BatchDispatchTable &table, std::uint64_t maxBytes)
+    : table_(table), maxBytes_(maxBytes)
+{}
 
 void
 Recorder::emit(const Event &e)
 {
     if (truncated_)
-        return; // the cap may trip mid-sequence (e.g. on a sync Charge)
+        return;
     w_.event(e);
     ++events_;
     if (maxBytes_ != 0 && w_.size() > maxBytes_)
@@ -24,53 +20,22 @@ Recorder::emit(const Event &e)
 }
 
 void
-Recorder::syncCost(std::uint64_t actual)
-{
-    if (actual == reconCost_)
-        return;
-    panicIf(actual < reconCost_,
-            "trace clock mirror ran ahead of the machine clock");
-    emit({EventKind::Charge, actual - reconCost_, 0});
-    reconCost_ = actual;
-}
-
-void
 Recorder::functionEnter(const ir::Function *fn)
 {
-    if (truncated_)
-        return;
-    const ModuleIndex::FnInfo &fi = index_.info(fn);
-    blockCtxStack_.emplace_back(curBlockSize_, curBlockIsHeader_);
-    fnStack_.push_back(&fi);
-    emit({EventKind::FuncEnter, fi.fnId, 0});
+    emit({EventKind::FuncEnter, fn->index(), 0});
 }
 
 void
-Recorder::functionExit(std::uint64_t cost)
+Recorder::functionExit()
 {
-    if (truncated_)
-        return;
-    syncCost(cost);
     emit({EventKind::FuncExit, 0, 0});
-    panicIf(fnStack_.empty(), "trace function exit without matching enter");
-    fnStack_.pop_back();
-    curBlockSize_ = blockCtxStack_.back().first;
-    curBlockIsHeader_ = blockCtxStack_.back().second;
-    blockCtxStack_.pop_back();
 }
 
 void
-Recorder::blockEnter(const ir::BasicBlock *bb,
-                     std::uint64_t costAfterCharge, std::uint64_t sp)
+Recorder::blockEnter(const ir::BasicBlock *bb, std::uint64_t sp)
 {
-    if (truncated_)
-        return;
-    const std::uint64_t size = bb->instructions().size();
-    syncCost(costAfterCharge - size);
-    reconCost_ = costAfterCharge;
-    curBlockSize_ = size;
-    const std::uint64_t bid = fnStack_.back()->blockBase + bb->index();
-    curBlockIsHeader_ = headerBlocks_[bid];
+    const std::uint64_t bid = bb->globalIndex();
+    curBlockIsHeader_ = table_.blocks[bid].headerOrdinal >= 0;
     if (curBlockIsHeader_)
         emit({EventKind::BlockEnterHeader, bid, sp >> 3});
     else
@@ -80,55 +45,29 @@ Recorder::blockEnter(const ir::BasicBlock *bb,
 void
 Recorder::phiResolved(std::uint64_t bits)
 {
-    if (truncated_ || !curBlockIsHeader_)
-        return;
-    emit({EventKind::Phi, bits, 0});
+    if (curBlockIsHeader_)
+        emit({EventKind::Phi, bits, 0});
 }
 
 void
-Recorder::memEvent(EventKind kind, const ir::Instruction *instr,
-                   std::uint64_t addr, std::uint64_t preciseCost)
+Recorder::load(std::uint64_t ip, std::uint64_t addr)
 {
-    if (truncated_)
-        return;
-    const std::uint64_t ip = fnStack_.back()->ipByLocalId[instr->localId()];
-    const std::uint64_t reconPrecise =
-        reconCost_ - curBlockSize_ + ip + 1;
-    if (preciseCost != reconPrecise) {
-        panicIf(preciseCost < reconPrecise,
-                "trace clock mirror ran ahead of the machine clock");
-        emit({EventKind::Charge, preciseCost - reconPrecise, 0});
-        reconCost_ += preciseCost - reconPrecise;
-    }
-    emit({kind, ip, addr >> 3});
+    emit({EventKind::Load, ip, addr >> 3});
 }
 
 void
-Recorder::load(const ir::Instruction *instr, std::uint64_t addr,
-               std::uint64_t preciseCost)
+Recorder::store(std::uint64_t ip, std::uint64_t addr)
 {
-    memEvent(EventKind::Load, instr, addr, preciseCost);
+    emit({EventKind::Store, ip, addr >> 3});
 }
 
 void
-Recorder::store(const ir::Instruction *instr, std::uint64_t addr,
-                std::uint64_t preciseCost)
+Recorder::callSite(const ir::Instruction *instr, std::uint64_t ip)
 {
-    memEvent(EventKind::Store, instr, addr, preciseCost);
-}
-
-void
-Recorder::callSite(const ir::Instruction *instr)
-{
-    if (truncated_)
-        return;
     // Internal calls contribute cost through their callee's blocks; only
     // external calls carry out-of-band cost the replayed clock needs.
-    if (instr->opcode() != ir::Opcode::CallExt)
-        return;
-    const std::uint64_t ip = fnStack_.back()->ipByLocalId[instr->localId()];
-    emit({EventKind::CallSite, ip, 0});
-    reconCost_ += instr->externalCallee()->cost();
+    if (instr->opcode() == ir::Opcode::CallExt)
+        emit({EventKind::CallSite, ip, 0});
 }
 
 Trace
@@ -136,14 +75,12 @@ Recorder::finish(std::uint64_t finalCost)
 {
     panicIf(finished_, "Recorder::finish called twice");
     finished_ = true;
-    if (!truncated_)
-        syncCost(finalCost);
     Trace t;
     t.payload = w_.takeBytes();
     t.events = events_;
     t.finalCost = finalCost;
-    t.numFunctions = index_.numFunctions();
-    t.numBlocks = index_.numBlocks();
+    t.numFunctions = static_cast<std::uint32_t>(table_.functions.size());
+    t.numBlocks = static_cast<std::uint32_t>(table_.blocks.size());
     t.truncated = truncated_;
     return t;
 }

@@ -3,20 +3,16 @@
  * Live trace recording.
  *
  * A Recorder receives the interpreter's instrumentation events (via a
- * direct, devirtualized sink in interp::Machine) together with the
- * machine clock samples taken at each call-back, and appends the
- * compact event stream described in trace/format.hpp.
+ * direct, devirtualized sink in interp::Machine) and appends the compact
+ * event stream described in trace/format.hpp.  Ids come straight from
+ * the IR and the Machine: Function::index(), BasicBlock::globalIndex()
+ * and the Machine's position in the running block, so recording needs
+ * no lookup per event.
  *
- * Clock reconstruction.  The replay side rebuilds the machine clock
- * from the stream itself: every BlockEnter advances it by the block's
- * size, every CallSite of an external call by the callee's declared
- * cost.  The Recorder maintains the same mirror while recording and
- * compares it against the real machine samples at every event; if they
- * diverge (an external implementation called Machine::charge), it
- * emits a Charge event carrying the missing delta before the event at
- * hand.  This keeps out-of-band cost out of the common path while
- * guaranteeing the replayed clock is bit-exact at every point the
- * run-time component samples it.
+ * The stream carries no clock: replay rebuilds it from the events
+ * themselves (every BlockEnter advances it by the block's size, every
+ * CallSite of an external call by the callee's declared cost) and
+ * cross-checks the result against the recorded final cost.
  *
  * Filtering.  Only events the run-time component consumes are
  * recorded: phi resolutions are kept for loop-header blocks only
@@ -34,10 +30,9 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
+#include "trace/batch.hpp"
 #include "trace/format.hpp"
-#include "trace/index.hpp"
 
 namespace lp::trace {
 
@@ -46,29 +41,22 @@ class Recorder
 {
   public:
     /**
-     * @param index id assignment shared with the replay side
-     * @param headerBlocks loop-header flags indexed by global block id
-     *        (from the compile-time component's loop analysis)
+     * @param table the program's dispatch table: the module fingerprint
+     *        and the loop-header flags (BlockInfo::headerOrdinal)
      * @param maxBytes payload byte cap; 0 = unbounded
      */
-    Recorder(const ModuleIndex &index, std::vector<bool> headerBlocks,
-             std::uint64_t maxBytes);
+    Recorder(const BatchDispatchTable &table, std::uint64_t maxBytes);
 
     /// @name Event feed (one call per interpreter call-back).
-    /// The cost arguments are the machine-clock samples at the
-    /// call-back point: cost() for functionExit, cost() after the
-    /// block charge for blockEnter, preciseCost() for load/store.
+    /// @p ip is the event's instruction index within its block.
     /// @{
     void functionEnter(const ir::Function *fn);
-    void functionExit(std::uint64_t cost);
-    void blockEnter(const ir::BasicBlock *bb, std::uint64_t costAfterCharge,
-                    std::uint64_t sp);
+    void functionExit();
+    void blockEnter(const ir::BasicBlock *bb, std::uint64_t sp);
     void phiResolved(std::uint64_t bits);
-    void load(const ir::Instruction *instr, std::uint64_t addr,
-              std::uint64_t preciseCost);
-    void store(const ir::Instruction *instr, std::uint64_t addr,
-               std::uint64_t preciseCost);
-    void callSite(const ir::Instruction *instr);
+    void load(std::uint64_t ip, std::uint64_t addr);
+    void store(std::uint64_t ip, std::uint64_t addr);
+    void callSite(const ir::Instruction *instr, std::uint64_t ip);
     /// @}
 
     /** True once the byte cap was hit (the stream is unusable). */
@@ -79,28 +67,16 @@ class Recorder
 
   private:
     void emit(const Event &e);
-    /** Emit a Charge if the mirrored clock lags the real @p actual. */
-    void syncCost(std::uint64_t actual);
-    void memEvent(EventKind kind, const ir::Instruction *instr,
-                  std::uint64_t addr, std::uint64_t preciseCost);
 
-    const ModuleIndex &index_;
-    std::vector<bool> headerBlocks_; ///< by global block id
+    const BatchDispatchTable &table_;
     std::uint64_t maxBytes_;
 
     PayloadWriter w_;
     std::uint64_t events_ = 0;
     bool truncated_ = false;
     bool finished_ = false;
-
-    // Mirror of the replay-side clock reconstruction.
-    std::uint64_t reconCost_ = 0;
-    std::uint64_t curBlockSize_ = 0;
+    /** Phis resolve at the top of the block just entered. */
     bool curBlockIsHeader_ = false;
-    /** Innermost function's id tables (top = current frame). */
-    std::vector<const ModuleIndex::FnInfo *> fnStack_;
-    /** Saved (curBlockSize, curBlockIsHeader) of suspended frames. */
-    std::vector<std::pair<std::uint64_t, bool>> blockCtxStack_;
 };
 
 } // namespace lp::trace

@@ -25,7 +25,6 @@
 #include "support/error.hpp"
 #include "trace/batch.hpp"
 #include "trace/format.hpp"
-#include "trace/index.hpp"
 
 namespace lp {
 namespace {
@@ -172,8 +171,8 @@ TEST_F(BatchTest, EvaluateRejectsTruncatedTraces)
     Loopapalooza lp(*mod);
     ASSERT_TRUE(lp.trace().truncated);
     try {
-        rt::evaluate(lp.plan(), lp.traceIndex(), lp.dispatchTable(),
-                     &lp.trace(), fullGrid(), "truncated");
+        rt::evaluate(lp.plan(), lp.dispatchTable(), &lp.trace(),
+                     fullGrid(), "truncated");
         FAIL() << "replaying a truncated trace must throw";
     }
     catch (const IoError &e) {
@@ -187,9 +186,8 @@ TEST_F(BatchTest, EvaluateRejectsAForeignTrace)
     auto sum = test::buildSumReduction(32);
     Loopapalooza lpa(*saxpy);
     Loopapalooza lpb(*sum);
-    EXPECT_THROW(rt::evaluate(lpb.plan(), lpb.traceIndex(),
-                              lpb.dispatchTable(), &lpa.trace(),
-                              fullGrid(), "mismatch"),
+    EXPECT_THROW(rt::evaluate(lpb.plan(), lpb.dispatchTable(),
+                              &lpa.trace(), fullGrid(), "mismatch"),
                  IoError);
 }
 
@@ -200,11 +198,16 @@ TEST_F(BatchTest, DispatchTableCoversTheWholeModule)
     auto mod = test::buildHistogram(64, 8);
     Loopapalooza lp(*mod);
     const trace::BatchDispatchTable &table = lp.dispatchTable();
-    EXPECT_EQ(table.functions.size(), lp.traceIndex().numFunctions());
-    EXPECT_EQ(table.blocks.size(), lp.traceIndex().numBlocks());
+    ASSERT_EQ(table.functions.size(), mod->functions().size());
+    for (std::size_t f = 0; f < table.functions.size(); ++f)
+        EXPECT_EQ(table.functions[f]->index(), f);
     std::size_t instrs = 0, headers = 0, watches = 0;
-    for (const auto &bi : table.blocks) {
+    for (std::size_t b = 0; b < table.blocks.size(); ++b) {
+        const trace::BatchDispatchTable::BlockInfo &bi = table.blocks[b];
         ASSERT_NE(bi.bb, nullptr);
+        // Indexed by the IR's own ids.
+        EXPECT_EQ(bi.bb->globalIndex(), b);
+        EXPECT_EQ(bi.fnId, bi.bb->parent()->index());
         EXPECT_EQ(bi.size, bi.bb->instructions().size());
         EXPECT_EQ(bi.headerOrdinal, lp.plan().headerOrdinal(bi.bb));
         EXPECT_EQ(bi.firstWatch, watches);

@@ -445,8 +445,8 @@ runWithCapture(const Loopapalooza &lp, const LPConfig &c,
                rt::OracleCapture &cap)
 {
     ProgramReport rep =
-        rt::evaluate(lp.plan(), lp.traceIndex(), lp.dispatchTable(),
-                     &lp.trace(), {c}, lp.module().name(), &cap)
+        rt::evaluate(lp.plan(), lp.dispatchTable(), &lp.trace(), {c},
+                     lp.module().name(), &cap)
             .front();
     lint::applyOracle(cap, rep);
     return rep;

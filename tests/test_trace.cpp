@@ -22,10 +22,10 @@
 #include "guard/budget.hpp"
 #include "helpers.hpp"
 #include "obs/metrics.hpp"
+#include "prof/collector.hpp"
 #include "rt/engine.hpp"
 #include "support/error.hpp"
 #include "trace/format.hpp"
-#include "trace/index.hpp"
 
 namespace lp {
 namespace {
@@ -65,8 +65,8 @@ TEST_F(TraceTest, TraceFingerprintMatchesTheModule)
     auto mod = test::buildSaxpy(32);
     Loopapalooza lp(*mod);
     const trace::Trace &t = lp.trace();
-    EXPECT_EQ(t.numFunctions, lp.traceIndex().numFunctions());
-    EXPECT_EQ(t.numBlocks, lp.traceIndex().numBlocks());
+    EXPECT_EQ(t.numFunctions, lp.dispatchTable().functions.size());
+    EXPECT_EQ(t.numBlocks, lp.dispatchTable().blocks.size());
     EXPECT_EQ(t.payload.size() <= (1ULL << 30), true);
 }
 
@@ -91,7 +91,7 @@ TEST_F(TraceTest, ReaderRejectsCorruptPayload)
 
     // Event tag whose operand varint is chopped off mid-stream.
     bad = t.payload;
-    bad.push_back(static_cast<std::uint8_t>(trace::EventKind::Charge));
+    bad.push_back(static_cast<std::uint8_t>(trace::EventKind::Load));
     EXPECT_THROW(drain(bad), IoError);
 }
 
@@ -103,11 +103,12 @@ TEST_F(TraceTest, ReplayRejectsOutOfRangeIds)
     Loopapalooza lp(*mod);
     const LPConfig cfg =
         LPConfig::parse("reduc0-dep0-fn0", ExecModel::DoAll);
-    const std::uint32_t nf = lp.traceIndex().numFunctions();
-    const std::uint32_t nb = lp.traceIndex().numBlocks();
+    const auto nf =
+        static_cast<std::uint32_t>(lp.dispatchTable().functions.size());
+    const auto nb =
+        static_cast<std::uint32_t>(lp.dispatchTable().blocks.size());
     auto replay = [&](const trace::Trace &t) {
-        rt::evaluate(lp.plan(), lp.traceIndex(), lp.dispatchTable(), &t,
-                     {cfg}, "corrupt");
+        rt::evaluate(lp.plan(), lp.dispatchTable(), &t, {cfg}, "corrupt");
     };
     EXPECT_THROW(replay(trace::encodeEvents(
                      {{trace::EventKind::FuncEnter, nf, 0}}, 0, nf, nb)),
@@ -125,6 +126,28 @@ TEST_F(TraceTest, ReplayRejectsOutOfRangeIds)
     trace::Trace wrongCost = lp.trace();
     wrongCost.finalCost += 1;
     EXPECT_THROW(replay(wrongCost), IoError);
+}
+
+TEST_F(TraceTest, RecordingDoesNotDependOnProfiling)
+{
+    // The profiler attributes a recording as a whole, from outside the
+    // interpreter loop, so turning it on cannot change what is recorded.
+    auto mod = test::buildHistogram(64, 8);
+    Loopapalooza quiet(*mod);
+    const trace::Trace &off = quiet.trace();
+
+    prof::Collector &c = prof::Collector::instance();
+    c.setEnabled(true);
+    EXPECT_TRUE(prof::profilingOn());
+    Loopapalooza profiled(*mod);
+    const trace::Trace &on = profiled.trace();
+    c.setEnabled(false);
+    c.reset();
+
+    ASSERT_FALSE(off.truncated);
+    EXPECT_EQ(on.payload, off.payload);
+    EXPECT_EQ(on.events, off.events);
+    EXPECT_EQ(on.finalCost, off.finalCost);
 }
 
 // ------------------------------------------------------ trace byte cap
