@@ -26,9 +26,9 @@
 #include "interp/machine.hpp"
 #include "ir/builder.hpp"
 #include "obs/metrics.hpp"
-#include "obs/timer.hpp"
 #include "predict/predictor.hpp"
 #include "prof/collector.hpp"
+#include "prof/phase.hpp"
 #include "suites/kernels.hpp"
 
 namespace {
@@ -355,7 +355,7 @@ writeBenchBaseline()
     }
     obs::setMetricsEnabled(wasEnabled);
     doc.set("metrics", obs::Registry::instance().toJson());
-    doc.set("phases", obs::PhaseTree::instance().toJson());
+    doc.set("phases", prof::PhaseTree::instance().toJson());
 
     std::string path = lp::bench::benchJsonPath("framework");
     if (lp::bench::writeJsonFile(path, doc))

@@ -47,9 +47,8 @@
  * Observability (see docs/observability.md):
  *   --json PATH (or LP_REPORT=PATH)  write the machine-readable run
  *                                    report(s) as JSON
- *   LP_LOG=off|error|warn|info|debug diagnostics level
- *   LP_TRACE=chrome:t.json           Chrome trace (Perfetto-loadable)
- *   LP_TRACE=jsonl:events.jsonl      streaming JSONL events
+ *   LP_LOG=off|error|warn|info|debug diagnostics level (stderr)
+ *   LP_METRICS=1                     metrics snapshot in the report
  *
  * Parallelism (see docs/parallel_execution.md):
  *   --jobs N (or LP_JOBS=N)          sweep with N worker threads
@@ -77,7 +76,9 @@
  *                                    load-imbalance, one record per
  *                                    sweep cell (json also streams
  *                                    PATH.cells.jsonl).  chrome writes a
- *                                    Perfetto-loadable timeline instead.
+ *                                    Perfetto-loadable timeline of the
+ *                                    cell and phase spans on the worker
+ *                                    lanes instead.
  *                                    Run reports stay byte-identical
  *                                    with profiling on or off.
  */
@@ -189,10 +190,10 @@ lintAndRunOne(const ir::Module &mod, const std::string &program,
     prof::Collector::instance().beginRegion();
     rt::ProgramReport rep;
     {
-        prof::CellScope cellProf(program, suite, flags);
+        prof::TaskScope cellProf(program, suite, flags);
         cellProf.setAttempts(1);
         rep = run(cfg);
-        cellProf.setInstructions(rep.serialCost);
+        cellProf.setInstructions(0, rep.serialCost);
         cellProf.setStatus("ok");
     }
     prof::Collector::instance().endRegion();
@@ -276,9 +277,9 @@ main(int argc, char **argv)
     }
 
     core::SweepRequest sweep;
-    // LP_PROFILE: same one-time-warning contract as LP_LOG/LP_TRACE/
-    // LP_JOBS — an unrecognized value warns once and profiling stays
-    // off; the --profile flag (parsed below) wins over the environment.
+    // LP_PROFILE: same one-time-warning contract as LP_LOG/LP_JOBS — an
+    // unrecognized value warns once and profiling stays off; the
+    // --profile flag (parsed below) wins over the environment.
     if (const char *env = std::getenv("LP_PROFILE")) {
         if (!prof::Collector::instance().configure(env))
             obs::logMessage(obs::Level::Error,

@@ -9,7 +9,7 @@
 #include "lint/oracle.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/timer.hpp"
+#include "prof/phase.hpp"
 #include "support/error.hpp"
 #include "support/text.hpp"
 
@@ -18,7 +18,7 @@ namespace lp::core {
 Loopapalooza::Loopapalooza(const ir::Module &mod) : mod_(mod)
 {
     {
-        obs::ScopedPhase phase("verify");
+        prof::ScopedPhase phase("verify");
         ir::verifyModuleOrDie(mod);
         ir::VerifyResult ssa = analysis::verifySSA(mod);
         if (!ssa.ok())
@@ -26,7 +26,7 @@ Loopapalooza::Loopapalooza(const ir::Module &mod) : mod_(mod)
                               ssa.message());
     }
     {
-        obs::ScopedPhase phase("analyze");
+        prof::ScopedPhase phase("analyze");
         plan_ = std::make_unique<rt::ModulePlan>(mod);
         dispatch_ = rt::buildDispatchTable(*plan_);
     }

@@ -5,7 +5,7 @@
 #include "exec/pool.hpp"
 #include "interp/machine.hpp"
 #include "obs/log.hpp"
-#include "obs/timer.hpp"
+#include "prof/phase.hpp"
 #include "support/error.hpp"
 #include "support/text.hpp"
 
@@ -13,11 +13,11 @@ namespace lp::core {
 
 PreparedProgram::PreparedProgram(const BenchProgram &prog) : prog_(prog)
 {
-    obs::ScopedPhase phase("prepare");
+    prof::ScopedPhase phase("prepare");
     LP_LOG_DEBUG("preparing program %s (%s)", prog_.name.c_str(),
                  prog_.suite.c_str());
     {
-        obs::ScopedPhase buildPhase("build");
+        prof::ScopedPhase buildPhase("build");
         mod_ = prog_.build();
     }
     fatalIf(!mod_, "program " + prog_.name + " built no module");
@@ -27,7 +27,7 @@ PreparedProgram::PreparedProgram(const BenchProgram &prog) : prog_(prog)
         // Self-check: a plain, uninstrumented run must produce the value
         // the kernel author recorded.  Guards against kernels silently
         // computing garbage (e.g. dead loops an optimizer would remove).
-        obs::ScopedPhase checkPhase("self-check");
+        prof::ScopedPhase checkPhase("self-check");
         interp::Machine machine(*mod_);
         std::uint64_t got = machine.run();
         fatalIf(got != prog_.expected,

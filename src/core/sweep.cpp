@@ -12,13 +12,58 @@
 #include "lint/engine.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/timer.hpp"
 #include "prof/collector.hpp"
+#include "prof/phase.hpp"
 #include "support/error.hpp"
 #include "support/table.hpp"
 #include "support/text.hpp"
 
 namespace lp::core {
+
+namespace {
+
+/**
+ * Status and consistency-check totals over some sweep cells, read back
+ * from the cell JSON — so fresh, checkpoint-resumed and shard-merged
+ * cells count alike.
+ */
+struct Tally
+{
+    std::size_t ok = 0, failed = 0, skipped = 0;
+    std::size_t oracleCells = 0;
+    std::uint64_t phisChecked = 0, mismatches = 0;
+    std::size_t verdictCells = 0;
+    std::uint64_t verdictsChecked = 0, contradictions = 0;
+
+    /** Count @p cell; returns its status. */
+    const std::string &add(const obs::Json &cell)
+    {
+        const std::string &status = cell.at("status").asString();
+        (status == "ok" ? ok : status == "failed" ? failed : skipped) += 1;
+        if (cell.contains("oracle")) {
+            const obs::Json &o = cell.at("oracle");
+            phisChecked += o.at("phis_checked").asU64();
+            mismatches += o.at("mismatches").asU64();
+            ++oracleCells;
+        }
+        if (cell.contains("static_verdict")) {
+            const obs::Json &sv = cell.at("static_verdict");
+            verdictsChecked += sv.at("loops").size();
+            contradictions += sv.at("contradictions").asU64();
+            ++verdictCells;
+        }
+        return status;
+    }
+
+    /** A static-vs-dynamic inconsistency is a defect in the framework's
+     *  classifier, not in the benchmark: it fails the sweep. */
+    int exitCode() const
+    {
+        return mismatches != 0 || contradictions != 0 ? 1 : 0;
+    }
+};
+
+} // namespace
 
 std::string
 shardCheckpointPath(const std::string &base, unsigned index,
@@ -82,7 +127,7 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req)
     // quarantines all its cells as status=skipped / LP_LINT.
     std::map<std::string, std::string> lintFailByName;
     if (req.lintMode != 0) {
-        obs::ScopedPhase phase("lint");
+        prof::ScopedPhase phase("lint");
         for (const auto &p : study.programs()) {
             lint::LintResult res = lint::lintAndPrint(
                 p->driver().module(), req.lintMode == 2);
@@ -324,7 +369,7 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req)
         for (std::size_t i : owned) {
             Cell &cell = cells[i];
             if (const char *status = settle(cell)) {
-                prof::CellScope cellProf(cell.program, cell.suite,
+                prof::TaskScope cellProf(cell.program, cell.suite,
                                          cell.config->label);
                 cellProf.setStatus(status);
             } else {
@@ -349,11 +394,11 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req)
         }
         std::vector<std::uint64_t> costs(uniq.size(), 0);
         exec::parallelFor(uniq.size(), [&](std::size_t k) {
-            prof::CellScope recordProf(uniq[k]->name(), uniq[k]->suite(),
+            prof::TaskScope recordProf(uniq[k]->name(), uniq[k]->suite(),
                                        "record");
             try {
                 costs[k] = uniq[k]->driver().trace().finalCost;
-                recordProf.setInstructions(costs[k]);
+                recordProf.setInstructions(0, costs[k]);
                 recordProf.setStatus("ok");
             }
             catch (...) {
@@ -415,40 +460,22 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req)
         // No table, no aggregation: a shard sees only its slice, so any
         // per-(config, suite) geomean it printed would be wrong.  The
         // merge step owns reporting.
-        std::size_t ok = 0, failed = 0, skipped = 0;
-        std::uint64_t oracleMismatches = 0;
-        std::uint64_t verdictContradictions = 0;
-        for (std::size_t i : owned) {
-            const std::string &status =
-                cells[i].json.at("status").asString();
-            (status == "ok"      ? ok
-             : status == "failed" ? failed
-                                  : skipped) += 1;
-            if (cells[i].json.contains("oracle"))
-                oracleMismatches += cells[i]
-                                        .json.at("oracle")
-                                        .at("mismatches")
-                                        .asU64();
-            if (cells[i].json.contains("static_verdict"))
-                verdictContradictions += cells[i]
-                                             .json.at("static_verdict")
-                                             .at("contradictions")
-                                             .asU64();
-        }
+        Tally shard;
+        for (std::size_t i : owned)
+            shard.add(cells[i].json);
         std::cout << "shard " << req.shardIndex << "/" << req.shardCount
                   << ": " << owned.size() << " of " << cells.size()
-                  << " cell(s) — " << ok << " ok, " << failed
-                  << " failed, " << skipped << " skipped, "
+                  << " cell(s) — " << shard.ok << " ok, " << shard.failed
+                  << " failed, " << shard.skipped << " skipped, "
                   << nResumed << " resumed\n"
                   << "checkpoint: " << ckpt->path() << "\n";
-        if (oracleMismatches != 0)
-            std::cout << "oracle: " << oracleMismatches
+        if (shard.mismatches != 0)
+            std::cout << "oracle: " << shard.mismatches
                       << " mismatch(es) in this shard\n";
-        if (verdictContradictions != 0)
-            std::cout << "static verdicts: " << verdictContradictions
+        if (shard.contradictions != 0)
+            std::cout << "static verdicts: " << shard.contradictions
                       << " contradiction(s) in this shard\n";
-        result.exitCode =
-            oracleMismatches != 0 || verdictContradictions != 0 ? 1 : 0;
+        result.exitCode = shard.exitCode();
         return result;
     }
 
@@ -463,10 +490,7 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req)
     TextTable t({"configuration", "suite", "geomean speedup",
                  "geomean coverage", "ok", "failed", "skipped"});
     std::vector<const Cell *> unhealthy;
-    std::uint64_t oraclePhisChecked = 0, oracleMismatches = 0;
-    std::size_t oracleCells = 0;
-    std::uint64_t verdictsChecked = 0, verdictContradictions = 0;
-    std::size_t verdictCells = 0;
+    Tally total;
 
     // Aggregate per (configuration, suite) group.  Everything — status,
     // geomean inputs — is read back from the cell JSON, so fresh,
@@ -477,35 +501,17 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req)
     for (const NamedConfig &named : paperConfigs()) {
         for (const std::string &suite : suiteOrder) {
             GroupGeomeans geomeans;
-            std::size_t ok = 0, failed = 0, skipped = 0;
+            Tally group;
             for (; at < cells.size() && cells[at].config == &named &&
                    cells[at].suite == suite;
                  ++at) {
                 const Cell &cell = cells[at];
-                const std::string &status =
-                    cell.json.at("status").asString();
-                if (status == "ok") {
-                    ++ok;
+                total.add(cell.json);
+                if (group.add(cell.json) == "ok")
                     geomeans.add(cell.json.at("speedup").asDouble(),
                                  cell.json.at("coverage").asDouble());
-                } else {
-                    (status == "failed" ? failed : skipped) += 1;
+                else
                     unhealthy.push_back(&cell);
-                }
-                if (cell.json.contains("oracle")) {
-                    const obs::Json &o = cell.json.at("oracle");
-                    oraclePhisChecked += o.at("phis_checked").asU64();
-                    oracleMismatches += o.at("mismatches").asU64();
-                    ++oracleCells;
-                }
-                if (cell.json.contains("static_verdict")) {
-                    const obs::Json &sv =
-                        cell.json.at("static_verdict");
-                    verdictsChecked += sv.at("loops").size();
-                    verdictContradictions +=
-                        sv.at("contradictions").asU64();
-                    ++verdictCells;
-                }
                 if (req.wantJson)
                     reportsJson.push(cell.json);
             }
@@ -513,32 +519,33 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req)
             const double coverage = geomeans.coveragePct();
             t.addRow({named.label, suite, TextTable::num(speedup) + "x",
                       TextTable::num(coverage, 1) + "%",
-                      std::to_string(ok), std::to_string(failed),
-                      std::to_string(skipped)});
+                      std::to_string(group.ok),
+                      std::to_string(group.failed),
+                      std::to_string(group.skipped)});
             if (req.wantJson) {
                 obs::Json row = obs::Json::object();
                 row.set("config", named.label);
                 row.set("suite", suite);
                 row.set("geomean_speedup", speedup);
                 row.set("geomean_coverage_pct", coverage);
-                row.set("ok", ok);
-                row.set("failed", failed);
-                row.set("skipped", skipped);
+                row.set("ok", group.ok);
+                row.set("failed", group.failed);
+                row.set("skipped", group.skipped);
                 suitesJson.push(std::move(row));
             }
         }
     }
     t.print(std::cout);
 
-    if (oracleCells != 0)
-        std::cout << "oracle: " << oraclePhisChecked
-                  << " phi(s) checked across " << oracleCells
-                  << " cell(s), " << oracleMismatches << " mismatch(es)\n";
-    if (verdictCells != 0)
-        std::cout << "static verdicts: " << verdictsChecked
-                  << " loop verdict(s) checked across " << verdictCells
-                  << " cell(s), " << verdictContradictions
-                  << " contradiction(s)\n";
+    if (total.oracleCells != 0)
+        std::cout << "oracle: " << total.phisChecked
+                  << " phi(s) checked across " << total.oracleCells
+                  << " cell(s), " << total.mismatches << " mismatch(es)\n";
+    if (total.verdictCells != 0)
+        std::cout << "static verdicts: " << total.verdictsChecked
+                  << " loop verdict(s) checked across "
+                  << total.verdictCells << " cell(s), "
+                  << total.contradictions << " contradiction(s)\n";
 
     if (!unhealthy.empty()) {
         std::cout << unhealthy.size() << " cell(s) did not complete:\n";
@@ -560,15 +567,12 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req)
         // document only when metrics are explicitly on.
         if (obs::metricsOn()) {
             doc.set("metrics", obs::Registry::instance().toJson());
-            doc.set("phases", obs::PhaseTree::instance().toJson());
+            doc.set("phases", prof::PhaseTree::instance().toJson());
         }
         result.hasDocument = true;
         result.document = std::move(doc);
     }
-    // A static-vs-dynamic inconsistency is a defect in the framework's
-    // classifier, not in the benchmark: fail the sweep.
-    result.exitCode =
-        oracleMismatches != 0 || verdictContradictions != 0 ? 1 : 0;
+    result.exitCode = total.exitCode();
     return result;
 }
 

@@ -5,7 +5,7 @@
 
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/timer.hpp"
+#include "prof/phase.hpp"
 #include "support/text.hpp"
 
 namespace lp::guard {
@@ -17,7 +17,7 @@ guardedRun(const std::string &what, const std::function<void()> &fn)
     for (int attempt = 1;; ++attempt) {
         v.attempts = attempt;
         try {
-            obs::ScopedPhase phase("guard");
+            prof::ScopedPhase phase("guard");
             fn();
             v.ok = true;
             return v;

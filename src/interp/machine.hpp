@@ -18,9 +18,9 @@
  * at the same fixed base.
  *
  * The interpreter loop carries no profiling: the limit-study engine
- * wraps each whole run in a phase-scoped profiler epoch
- * (prof::EpochScope), so the only per-block poll is the wall-clock
- * deadline.
+ * wraps each whole run in a phase scope (prof::ScopedPhase), whose
+ * close attributes the run to the profiler's epochs, so the only
+ * per-block poll is the wall-clock deadline.
  */
 
 #pragma once

@@ -364,7 +364,9 @@ class GlobalOobRule : public Rule
 
 /**
  * LINT_INFINITE_LOOP — a loop with no exit edge and no ret inside: once
- * entered, execution can never leave it.
+ * entered, execution can never leave it.  Error-level, so the --lint
+ * gate stops such a module instead of letting it spin to the fuel
+ * budget.
  */
 class InfiniteLoopRule : public Rule
 {
@@ -375,7 +377,7 @@ class InfiniteLoopRule : public Rule
     {
         return "loop has no exit edge and no ret; it can never terminate";
     }
-    Severity severity() const override { return Severity::Warning; }
+    Severity severity() const override { return Severity::Error; }
 
     void
     run(const FunctionAnalyses &fa, std::vector<Diagnostic> &out) const override

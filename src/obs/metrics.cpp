@@ -6,7 +6,6 @@ namespace lp::obs {
 
 namespace detail {
 std::atomic<bool> g_metricsEnabled{false};
-std::atomic<unsigned> g_nextLane{0};
 }
 
 void
@@ -36,7 +35,7 @@ Histogram::record(std::uint64_t sample)
     std::size_t i = 0;
     while (i < bounds_.size() && sample > bounds_[i])
         ++i;
-    Shard &s = shards_[threadLane() & (kShards - 1)];
+    Shard &s = shards_[prof::detail::shardLane() & (kShards - 1)];
     s.counts[i].fetch_add(1, std::memory_order_relaxed);
     s.count.fetch_add(1, std::memory_order_relaxed);
     s.sum.fetch_add(sample, std::memory_order_relaxed);

@@ -3,24 +3,24 @@
  * Process-wide metrics registry: named counters, gauges, and
  * fixed-bucket histograms.
  *
- * Recording is off by default (`LP_METRICS=1` or any `LP_TRACE` sink
- * turns it on).  Hot-path call sites cache the metric pointer once and
- * guard each update with metricsOn(), which inlines to a single relaxed
- * atomic-bool test — with metrics disabled the whole update is one
- * well-predicted branch.
+ * Recording is off by default (`LP_METRICS=1` turns it on).  Hot-path
+ * call sites cache the metric pointer once and guard each update with
+ * metricsOn(), which inlines to a single relaxed atomic-bool test —
+ * with metrics disabled the whole update is one well-predicted branch.
  *
  * Thread-safety (see docs/observability.md): every update path is safe
  * under concurrent use by lp::exec workers.  Counters and histograms
- * shard their state across cache-line-padded atomic cells indexed by
- * threadLane(), so parallel sweeps do not ping-pong one hot line and
- * record() never takes a lock; gauges are single atomics.  The registry
- * itself is sharded by name hash, each shard behind an instrumented
- * prof::TimedMutex ("obs.registry") so lookup contention shows up in
- * profiles instead of hiding (docs/profiling.md).  value()/snapshot
- * reads are exact once the writing threads have been joined (the only
- * time the framework snapshots); concurrent reads see a momentary
- * approximation.  resetAll() and toJson() are quiescent-only by
- * contract, like PhaseTree::reset.
+ * shard their state across cache-line-padded atomic cells indexed by a
+ * private per-thread shard index (prof::detail::shardLane(), the one
+ * lp::prof's lock sites use), so parallel sweeps do not ping-pong one
+ * hot line and record() never takes a lock; gauges are single atomics.
+ * The registry itself is sharded by name hash, each shard behind an
+ * instrumented prof::TimedMutex ("obs.registry") so lookup contention
+ * shows up in profiles instead of hiding (docs/profiling.md).
+ * value()/snapshot reads are exact once the writing threads have been
+ * joined (the only time the framework snapshots); concurrent reads see
+ * a momentary approximation.  resetAll() and toJson() are
+ * quiescent-only by contract, like prof::PhaseTree::reset.
  *
  * Metric name catalog (see docs/observability.md):
  *   interp.instructions     dynamic IR instructions executed
@@ -52,7 +52,6 @@ namespace lp::obs {
 
 namespace detail {
 extern std::atomic<bool> g_metricsEnabled;
-extern std::atomic<unsigned> g_nextLane;
 }
 
 /** Are metrics being recorded?  Inlines to one relaxed atomic load. */
@@ -64,19 +63,6 @@ metricsOn()
 
 /** Turn recording on/off (LP_METRICS does this from the environment). */
 void setMetricsEnabled(bool on);
-
-/**
- * Small dense id of the calling thread, assigned on first use (the main
- * thread is normally lane 0).  Counters shard by it; phase timers tag
- * trace events with it so Chrome traces show per-worker lanes.
- */
-inline unsigned
-threadLane()
-{
-    thread_local const unsigned lane =
-        detail::g_nextLane.fetch_add(1, std::memory_order_relaxed);
-    return lane;
-}
 
 /**
  * Monotonic event count, sharded for concurrent add().  value() sums
@@ -92,7 +78,7 @@ class Counter
 
     void add(std::uint64_t n = 1)
     {
-        shards_[threadLane() & (kShards - 1)].v.fetch_add(
+        shards_[prof::detail::shardLane() & (kShards - 1)].v.fetch_add(
             n, std::memory_order_relaxed);
     }
 

@@ -5,6 +5,7 @@
 
 #include "exec/pool.hpp"
 #include "obs/log.hpp"
+#include "obs/metrics.hpp"
 #include "support/text.hpp"
 
 namespace lp::prof {
@@ -20,16 +21,18 @@ steadyNanos()
             .count());
 }
 
-const char *
-epochKindName(std::size_t k)
+/** The epoch phases, in profile key order: the phase each epoch sums,
+ *  and its key under a worker's "epochs". */
+struct EpochPhase
 {
-    switch (k) {
-      case 0: return "interp";
-      case 1: return "record";
-      case 2: return "replay_batch";
-    }
-    return "?";
-}
+    const char *phase;
+    const char *key;
+};
+constexpr EpochPhase kEpochPhases[] = {
+    {"interpret", "interp"},
+    {"record", "record"},
+    {"replay_batch", "replay_batch"},
+};
 
 obs::Json
 cellToJson(const CellRecord &rec)
@@ -53,13 +56,7 @@ cellToJson(const CellRecord &rec)
 
 Collector::Collector() : epochNanos_(steadyNanos())
 {
-    for (std::atomic<std::uint64_t> &lane : laneIdleSinceNs_)
-        lane.store(0, std::memory_order_relaxed);
-    for (EpochSlot &slot : epochs_)
-        for (std::size_t k = 0; k < kNumEpochKinds; ++k) {
-            slot.instructions[k].store(0, std::memory_order_relaxed);
-            slot.wallNs[k].store(0, std::memory_order_relaxed);
-        }
+    static_assert(std::size(kEpochPhases) == kNumEpochs);
 }
 
 Collector &
@@ -140,13 +137,10 @@ Collector::reset()
     }
     regionStartNs_.store(0, std::memory_order_relaxed);
     regionWallNs_.store(0, std::memory_order_relaxed);
-    for (std::atomic<std::uint64_t> &lane : laneIdleSinceNs_)
-        lane.store(0, std::memory_order_relaxed);
-    for (EpochSlot &slot : epochs_)
-        for (std::size_t k = 0; k < kNumEpochKinds; ++k) {
-            slot.instructions[k].store(0, std::memory_order_relaxed);
-            slot.wallNs[k].store(0, std::memory_order_relaxed);
-        }
+    {
+        std::lock_guard<TimedMutex> lock(laneMu_);
+        lanes_.clear();
+    }
     LockSiteTable::instance().resetAll();
 }
 
@@ -156,8 +150,11 @@ Collector::beginRegion()
     // A new region means every lane is idle-since-region-start: clear
     // the per-lane markers so the first cell on each lane measures its
     // gap from the region start, not from some previous region's cell.
-    for (std::atomic<std::uint64_t> &lane : laneIdleSinceNs_)
-        lane.store(0, std::memory_order_relaxed);
+    {
+        std::lock_guard<TimedMutex> lock(laneMu_);
+        for (Lane &lane : lanes_)
+            lane.idleSinceNs = 0;
+    }
     regionStartNs_.store(nowNs(), std::memory_order_relaxed);
 }
 
@@ -174,9 +171,8 @@ Collector::endRegion()
 void
 Collector::recordCell(const CellRecord &rec)
 {
-    // Format outside the lock (the same discipline obs::JsonlSink
-    // follows): the critical section is one vector append and one
-    // preformatted line write.
+    // Format outside the lock: the critical section is one vector
+    // append and one preformatted line write.
     std::string line;
     {
         // Streaming only happens in json mode; skip the dump otherwise.
@@ -191,15 +187,29 @@ Collector::recordCell(const CellRecord &rec)
     }
 }
 
-void
-Collector::addEpoch(EpochKind kind, std::uint64_t instructions,
-                    std::uint64_t wallNs)
+Collector::Lane &
+Collector::laneLocked(unsigned worker)
 {
-    EpochSlot &slot = epochs_[exec::workerSlot() & (kMaxLanes - 1)];
-    const std::size_t k = static_cast<std::size_t>(kind);
-    slot.instructions[k].fetch_add(instructions,
-                                   std::memory_order_relaxed);
-    slot.wallNs[k].fetch_add(wallNs, std::memory_order_relaxed);
+    if (worker >= lanes_.size())
+        lanes_.resize(worker + 1);
+    return lanes_[worker];
+}
+
+void
+Collector::recordPhase(const std::string &name, std::uint64_t wallNs,
+                       std::uint64_t instructions)
+{
+    const std::uint64_t end = nowNs();
+    const unsigned worker = exec::workerSlot();
+    std::lock_guard<TimedMutex> lock(laneMu_);
+    Lane &lane = laneLocked(worker);
+    lane.phases.push_back(
+        {name, end > wallNs ? end - wallNs : 0, wallNs, instructions});
+    for (std::size_t k = 0; k < kNumEpochs; ++k)
+        if (name == kEpochPhases[k].phase) {
+            lane.epochInstructions[k] += instructions;
+            lane.epochWallNs[k] += wallNs;
+        }
 }
 
 obs::Json
@@ -264,6 +274,7 @@ Collector::workersJson() const
     const std::uint64_t regionWall =
         regionWallNs_.load(std::memory_order_relaxed);
 
+    std::lock_guard<TimedMutex> laneLock(laneMu_);
     obs::Json arr = obs::Json::array();
     std::uint64_t maxBusy = 0, sumBusy = 0;
     double sumUtil = 0.0;
@@ -290,19 +301,17 @@ Collector::workersJson() const
         one.set("instructions", w.instructions);
         one.set("utilization", util);
         // Epoch attribution for this lane, if any was collected.
-        const EpochSlot &slot = epochs_[lane & (kMaxLanes - 1)];
         obs::Json ep = obs::Json::object();
-        for (std::size_t k = 0; k < kNumEpochKinds; ++k) {
-            std::uint64_t instr =
-                slot.instructions[k].load(std::memory_order_relaxed);
-            std::uint64_t ns =
-                slot.wallNs[k].load(std::memory_order_relaxed);
-            if (instr == 0 && ns == 0)
-                continue;
-            obs::Json kind = obs::Json::object();
-            kind.set("instructions", instr);
-            kind.set("wall_ns", ns);
-            ep.set(epochKindName(k), std::move(kind));
+        if (lane < lanes_.size()) {
+            const Lane &l = lanes_[lane];
+            for (std::size_t k = 0; k < kNumEpochs; ++k) {
+                if (l.epochInstructions[k] == 0 && l.epochWallNs[k] == 0)
+                    continue;
+                obs::Json kind = obs::Json::object();
+                kind.set("instructions", l.epochInstructions[k]);
+                kind.set("wall_ns", l.epochWallNs[k]);
+                ep.set(kEpochPhases[k].key, std::move(kind));
+            }
         }
         one.set("epochs", std::move(ep));
         arr.push(std::move(one));
@@ -357,10 +366,38 @@ Collector::toJson() const
 obs::Json
 Collector::chromeDocument() const
 {
-    // Reuse the Chrome trace_event shape the obs sink emits: one "X"
-    // (complete) span per sweep cell on its worker's lane, timestamps
-    // in microseconds against the collector's epoch.
+    // Chrome trace_event format: one "X" (complete) span per sweep cell
+    // and per closed phase, with the worker lane as tid and timestamps
+    // in microseconds on the collector's timebase.  Cells and phases
+    // are two processes (pid 1 and 2) on the same lanes: a lane task's
+    // cells tile its wall time and so cross the boundaries of the
+    // phases inside the task, and a trace viewer needs the spans of one
+    // track to nest.
     obs::Json events = obs::Json::array();
+    auto span = [&](std::string name, const char *cat, int pid,
+                    unsigned lane, std::uint64_t startNs,
+                    std::uint64_t wallNs, obs::Json args) {
+        obs::Json e = obs::Json::object();
+        e.set("name", std::move(name));
+        e.set("cat", cat);
+        e.set("ph", "X");
+        e.set("ts", static_cast<double>(startNs) / 1000.0);
+        e.set("dur", static_cast<double>(wallNs) / 1000.0);
+        e.set("pid", pid);
+        e.set("tid", lane);
+        e.set("args", std::move(args));
+        events.push(std::move(e));
+    };
+    for (int pid : {1, 2}) {
+        obs::Json args = obs::Json::object();
+        args.set("name", pid == 1 ? "cells" : "phases");
+        obs::Json meta = obs::Json::object();
+        meta.set("name", "process_name");
+        meta.set("ph", "M");
+        meta.set("pid", pid);
+        meta.set("args", std::move(args));
+        events.push(std::move(meta));
+    }
     {
         std::lock_guard<TimedMutex> lock(cellMu_);
         for (const CellRecord &c : cells_) {
@@ -371,20 +408,23 @@ Collector::chromeDocument() const
             args.set("instructions", c.instructions);
             args.set("attempts", c.attempts);
             args.set("status", c.status);
-
-            obs::Json e = obs::Json::object();
-            e.set("name", c.program + " [" + c.config + "]");
-            e.set("cat", "cell");
-            e.set("ph", "X");
-            e.set("ts", static_cast<double>(c.startNs) / 1000.0);
-            e.set("dur", static_cast<double>(c.wallNs) / 1000.0);
-            e.set("pid", 1);
-            e.set("tid", c.worker);
-            e.set("args", std::move(args));
-            events.push(std::move(e));
+            span(c.program + " [" + c.config + "]", "cell", 1, c.worker,
+                 c.startNs, c.wallNs, std::move(args));
         }
     }
-    // Contention and utilization ride along as process-scoped metadata.
+    {
+        std::lock_guard<TimedMutex> lock(laneMu_);
+        for (unsigned lane = 0; lane < lanes_.size(); ++lane)
+            for (const PhaseSpan &p : lanes_[lane].phases) {
+                obs::Json args = obs::Json::object();
+                if (p.instructions != 0)
+                    args.set("instructions", p.instructions);
+                span(p.name, "phase", 2, lane, p.startNs, p.wallNs,
+                     std::move(args));
+            }
+    }
+    // Contention, utilization and (when metrics are on) the metrics
+    // snapshot ride along as process-scoped metadata.
     obs::Json meta = obs::Json::object();
     meta.set("name", "lp_prof.summary");
     meta.set("ph", "i");
@@ -395,6 +435,8 @@ Collector::chromeDocument() const
     obs::Json args = obs::Json::object();
     args.set("contention", contentionJson());
     args.set("workers", workersJson());
+    if (obs::metricsOn())
+        args.set("metrics", obs::Registry::instance().toJson());
     meta.set("args", std::move(args));
     events.push(std::move(meta));
 
@@ -434,7 +476,7 @@ Collector::finish()
 }
 
 std::uint64_t
-Collector::queueWaitBefore(unsigned worker, std::uint64_t startNs) const
+Collector::queueWaitBefore(unsigned worker, std::uint64_t startNs)
 {
     // Queue-wait is the lane's idle gap before this unit of work: from
     // its previous unit's end — or the region start, for the lane's
@@ -443,9 +485,11 @@ Collector::queueWaitBefore(unsigned worker, std::uint64_t startNs) const
     // region's queue-wait to 23 s.
     const std::uint64_t region =
         regionStartNs_.load(std::memory_order_relaxed);
-    const std::uint64_t idleSince =
-        laneIdleSinceNs_[worker & (kMaxLanes - 1)].load(
-            std::memory_order_relaxed);
+    std::uint64_t idleSince = 0;
+    {
+        std::lock_guard<TimedMutex> lock(laneMu_);
+        idleSince = laneLocked(worker).idleSinceNs;
+    }
     const std::uint64_t waitBase = idleSince != 0 ? idleSince : region;
     return region != 0 && startNs > waitBase ? startNs - waitBase : 0;
 }
@@ -453,76 +497,8 @@ Collector::queueWaitBefore(unsigned worker, std::uint64_t startNs) const
 void
 Collector::laneIdleAt(unsigned worker, std::uint64_t endNs)
 {
-    laneIdleSinceNs_[worker & (kMaxLanes - 1)].store(
-        endNs, std::memory_order_relaxed);
-}
-
-// ----------------------------------------------------------- EpochScope
-
-EpochScope::EpochScope(EpochKind kind) : kind_(kind), active_(profilingOn())
-{
-    if (active_)
-        startNs_ = Collector::instance().nowNs();
-}
-
-EpochScope::~EpochScope()
-{
-    if (!active_)
-        return;
-    Collector &c = Collector::instance();
-    c.addEpoch(kind_, instructions_, c.nowNs() - startNs_);
-}
-
-// ------------------------------------------------------------ CellScope
-
-CellScope::CellScope(const std::string &program, const std::string &suite,
-                     const std::string &config)
-    : active_(profilingOn())
-{
-    if (!active_)
-        return;
-    Collector &c = Collector::instance();
-    rec_.program = program;
-    rec_.suite = suite;
-    rec_.config = config;
-    rec_.worker = exec::workerSlot();
-    rec_.startNs = c.nowNs();
-    rec_.queueWaitNs = c.queueWaitBefore(rec_.worker, rec_.startNs);
-    rec_.status = "failed"; // an unwound scope records a failed cell
-    lockWait0_ = threadLockWaitNs();
-}
-
-CellScope::~CellScope()
-{
-    if (!active_)
-        return;
-    Collector &c = Collector::instance();
-    std::uint64_t end = c.nowNs();
-    rec_.wallNs = end - rec_.startNs;
-    rec_.lockWaitNs = threadLockWaitNs() - lockWait0_;
-    c.laneIdleAt(rec_.worker, end);
-    c.recordCell(rec_);
-}
-
-void
-CellScope::setInstructions(std::uint64_t n)
-{
-    if (active_)
-        rec_.instructions = n;
-}
-
-void
-CellScope::setAttempts(unsigned n)
-{
-    if (active_)
-        rec_.attempts = n;
-}
-
-void
-CellScope::setStatus(const std::string &status)
-{
-    if (active_)
-        rec_.status = status;
+    std::lock_guard<TimedMutex> lock(laneMu_);
+    laneLocked(worker).idleSinceNs = endNs;
 }
 
 // ------------------------------------------------------------ TaskScope
@@ -536,6 +512,13 @@ TaskScope::TaskScope() : active_(profilingOn())
     startNs_ = c.nowNs();
     queueWaitNs_ = c.queueWaitBefore(worker_, startNs_);
     lockWait0_ = threadLockWaitNs();
+}
+
+TaskScope::TaskScope(const std::string &program, const std::string &suite,
+                     const std::string &config)
+    : TaskScope()
+{
+    addCell(program, suite, config);
 }
 
 TaskScope::~TaskScope()

@@ -1,12 +1,13 @@
 /**
  * @file
- * The profiling collector (`lp::prof`): per-cell sweep telemetry,
- * per-worker timelines, and epoch-based time attribution, layered on
- * lp::obs (docs/profiling.md).
+ * The profiling collector (`lp::prof`): the one place that collects and
+ * writes timing evidence — per-cell sweep telemetry, per-worker
+ * timelines of cells and phases, and epoch-based time attribution
+ * (docs/profiling.md).
  *
  * One process has one Collector.  It is configured from a profile spec
  * (`run_study --profile[=json|chrome[:PATH]]` or `LP_PROFILE`) and
- * records three kinds of evidence while prof::profilingOn():
+ * records four kinds of evidence while prof::profilingOn():
  *
  *  - lock-site contention, recorded by every prof::TimedMutex in the
  *    process (timed_mutex.hpp) — the collector only snapshots it;
@@ -17,24 +18,27 @@
  *    (TaskScope).  In json mode each record is also streamed to
  *    `<PATH>.cells.jsonl` the moment the work finishes, so a killed
  *    sweep still leaves its telemetry;
- *  - execution epochs: each live engine pass, recording and trace
- *    replay attributes its (instructions, wall-ns) to the calling
- *    worker once, from an EpochScope around the phase that ran it —
- *    the hot loops themselves carry no profiling.
+ *  - phase spans: every prof::ScopedPhase (phase.hpp) that closes
+ *    records one span on the calling worker's lane;
+ *  - execution epochs: the `record`, `replay_batch` and `interpret`
+ *    phases also add their (instructions, wall-ns) to the calling
+ *    worker's epoch totals — the hot loops themselves carry no
+ *    profiling.
  *
- * finish() rolls everything into the profile outputs: a JSON document
- * (contention + per-worker utilization/imbalance + per-cell records) or
- * a Chrome trace whose thread lanes are worker lanes and whose spans
- * are sweep cells (open in ui.perfetto.dev).
+ * A worker lane is an exec::workerSlot(), so a `--jobs N` run never
+ * shows more than N lanes.  finish() rolls everything into the profile
+ * outputs: a JSON document (contention + per-worker utilization/
+ * imbalance/epochs + per-cell records) or one Chrome trace holding the
+ * cell and phase spans on the worker lanes (open in ui.perfetto.dev).
  *
  * The collector never touches run reports: sweeps produce byte-identical
  * report JSON with profiling on or off (tests/test_prof.cpp holds this).
  *
- * Thread-safety: recordCell/addEpoch are safe from lp::exec workers
- * (cell records append under an instrumented mutex — formatted outside
- * it — and epochs are per-lane relaxed atomics).  configure, reset,
- * beginRegion/endRegion and finish are quiescent-only, like
- * obs::Session::configure.
+ * Thread-safety: recordCell/recordPhase and the scopes are safe from
+ * lp::exec workers (cell records append under one instrumented mutex —
+ * formatted outside it — and per-lane state sits under another).
+ * configure, reset, beginRegion/endRegion and finish are
+ * quiescent-only.
  */
 
 #pragma once
@@ -77,12 +81,6 @@ struct CellRecord
     std::string status = "ok"; ///< ok | failed | skipped | resumed
 };
 
-/** What an epoch of attributed execution time was spent doing. */
-enum class EpochKind { Interp = 0, Record = 1, ReplayBatch = 2 };
-
-/** Number of EpochKind values. */
-constexpr std::size_t kNumEpochKinds = 3;
-
 class Collector
 {
   public:
@@ -119,9 +117,14 @@ class Collector
     /** Append one finished cell (streams JSONL in json mode). */
     void recordCell(const CellRecord &rec);
 
-    /** Attribute @p instructions / @p wallNs to the calling worker. */
-    void addEpoch(EpochKind kind, std::uint64_t instructions,
-                  std::uint64_t wallNs);
+    /**
+     * A phase named @p name just closed on the calling worker after
+     * @p wallNs with @p instructions attributed: record its span on
+     * the worker's lane, and add it to the worker's epoch totals when
+     * it is one of the epoch phases.
+     */
+    void recordPhase(const std::string &name, std::uint64_t wallNs,
+                     std::uint64_t instructions);
 
     /// @name Snapshots (quiescent-only, like obs::Registry::toJson)
     /// @{
@@ -140,7 +143,9 @@ class Collector
     /** The whole profile document (json mode's output). */
     obs::Json toJson() const;
 
-    /** The Chrome trace document (chrome mode's output; tests). */
+    /** The Chrome trace document (chrome mode's output; tests): cell
+     *  spans under pid 1 and phase spans under pid 2, both with the
+     *  worker lane as tid, plus an `lp_prof.summary` instant. */
     obs::Json chromeDocument() const;
 
     std::size_t cellCount() const;
@@ -155,24 +160,40 @@ class Collector
     bool finish();
 
   private:
-    // Both read regionStartNs_ / laneIdleSinceNs_ for queue-wait.
-    friend class CellScope;
-    friend class TaskScope;
+    friend class TaskScope; // reads and moves the lane's idle marker
 
     /** The lane's idle gap before a unit of work starting at @p startNs. */
-    std::uint64_t queueWaitBefore(unsigned worker,
-                                  std::uint64_t startNs) const;
+    std::uint64_t queueWaitBefore(unsigned worker, std::uint64_t startNs);
     /** The lane went idle at @p endNs. */
     void laneIdleAt(unsigned worker, std::uint64_t endNs);
 
     Collector();
 
-    struct alignas(64) EpochSlot
+    /** One closed phase on a lane (collector timebase). */
+    struct PhaseSpan
     {
-        std::atomic<std::uint64_t> instructions[kNumEpochKinds];
-        std::atomic<std::uint64_t> wallNs[kNumEpochKinds];
+        std::string name;
+        std::uint64_t startNs = 0;
+        std::uint64_t wallNs = 0;
+        std::uint64_t instructions = 0;
     };
-    static constexpr std::size_t kMaxLanes = 64;
+
+    /** The epoch phases: interpret, record and replay_batch. */
+    static constexpr std::size_t kNumEpochs = 3;
+
+    /** Everything kept per worker slot. */
+    struct Lane
+    {
+        /** When the lane last went idle inside the current region (its
+         *  previous unit's end); 0 = no work yet this region. */
+        std::uint64_t idleSinceNs = 0;
+        std::uint64_t epochInstructions[kNumEpochs] = {};
+        std::uint64_t epochWallNs[kNumEpochs] = {};
+        std::vector<PhaseSpan> phases;
+    };
+
+    /** The lane of @p worker, grown on first use; laneMu_ held. */
+    Lane &laneLocked(unsigned worker);
 
     Mode mode_ = Mode::Off;
     std::string path_;
@@ -185,82 +206,33 @@ class Collector
     std::atomic<std::uint64_t> regionStartNs_{0}; ///< 0 = outside
     std::atomic<std::uint64_t> regionWallNs_{0};  ///< accumulated
 
-    /** When each lane last went idle inside the current region (its
-     *  previous cell's end); 0 = no cell yet this region.  Only the
-     *  owning lane writes, so relaxed atomics suffice. */
-    std::atomic<std::uint64_t> laneIdleSinceNs_[kMaxLanes];
-
-    EpochSlot epochs_[kMaxLanes];
+    /** One entry per worker slot that has done profiled work: every
+     *  slot owns its state, whatever the worker count. */
+    mutable TimedMutex laneMu_{"prof.lanes"};
+    std::vector<Lane> lanes_;
 };
 
 /**
- * RAII attribution of one execution phase (a recording, a trace replay
- * or a live engine pass) to the calling worker's epoch totals: the
- * destructor adds the scope's wall time and the instructions given to
- * addInstructions().  A no-op while profiling is off.  An unwound scope
- * still attributes its wall time: an aborted run's time is time spent.
- */
-class EpochScope
-{
-  public:
-    explicit EpochScope(EpochKind kind);
-    ~EpochScope();
-
-    EpochScope(const EpochScope &) = delete;
-    EpochScope &operator=(const EpochScope &) = delete;
-
-    void addInstructions(std::uint64_t n) { instructions_ += n; }
-
-  private:
-    EpochKind kind_;
-    bool active_;
-    std::uint64_t startNs_ = 0;
-    std::uint64_t instructions_ = 0;
-};
-
-/**
- * RAII measurement of one sweep cell.  Construct at cell start (inside
- * the worker); the destructor records the cell.  Every accessor is a
- * no-op while profiling is off, so call sites need no guards.
+ * RAII measurement of one unit of profiled work on the calling worker:
+ * a lane task, which yields several sweep cells at once (one engine
+ * pass over some of a program's configuration lanes), or a single cell.
+ * Construct at task start (inside the worker) and addCell() each lane;
+ * the destructor records one CellRecord per lane.  The lanes split the
+ * task's wall time and lock-wait evenly and tile its span on the
+ * worker's timeline, so per-worker busy time, utilization and load
+ * imbalance account for the work that ran.  Every accessor is a no-op
+ * while profiling is off, so call sites need no guards.
  *
  * The status defaults to "failed": a scope unwound by an exception
- * records the cell as failed unless the caller reached setStatus().
- */
-class CellScope
-{
-  public:
-    CellScope(const std::string &program, const std::string &suite,
-              const std::string &config);
-    ~CellScope();
-
-    CellScope(const CellScope &) = delete;
-    CellScope &operator=(const CellScope &) = delete;
-
-    void setInstructions(std::uint64_t n);
-    void setAttempts(unsigned n);
-    void setStatus(const std::string &status);
-
-  private:
-    bool active_;
-    CellRecord rec_;
-    std::uint64_t lockWait0_ = 0;
-};
-
-/**
- * RAII measurement of one lane task: a unit of work that yields several
- * sweep cells at once (one engine pass over some of a program's
- * configuration lanes).  Construct at task start (inside the worker)
- * and addCell() each lane; the destructor records one CellRecord per
- * lane.  The lanes split the task's wall time and lock-wait evenly and
- * tile its span on the worker's timeline, so per-worker busy time,
- * utilization and load imbalance account for the work that ran.  Like
- * CellScope, accessors are no-ops while profiling is off and the status
- * defaults to "failed".
+ * records its cells as failed unless the caller reached setStatus().
  */
 class TaskScope
 {
   public:
     TaskScope();
+    /** A one-cell task: the measurement of one sweep cell. */
+    TaskScope(const std::string &program, const std::string &suite,
+              const std::string &config);
     ~TaskScope();
 
     TaskScope(const TaskScope &) = delete;

@@ -4,7 +4,7 @@
  * profiling subsystem.
  *
  * A TimedMutex is a drop-in std::mutex replacement bound to a named
- * *lock site* ("core.trace_record", "obs.sink", ...).  With profiling
+ * *lock site* ("core.trace_record", "obs.registry", ...).  With profiling
  * off (the default) lock() is a plain std::mutex::lock behind one
  * relaxed atomic-bool test — the same inline guard discipline
  * obs::metricsOn() uses, so adopting a TimedMutex costs nothing until
@@ -12,11 +12,11 @@
  * uncontended try_lock fast path (no clock read); only the *contended*
  * path reads the steady clock around the blocking acquire and records
  * the wait into the site's sharded stats and into a thread-local
- * wait-ns accumulator (prof::CellScope diffs the latter to attribute
+ * wait-ns accumulator (prof::TaskScope diffs the latter to attribute
  * lock-wait to individual sweep cells).
  *
  * This header is deliberately free of lp::obs includes: lp::obs itself
- * adopts TimedMutex for its sink and registry mutexes, so the
+ * adopts TimedMutex for its registry mutexes, so the
  * dependency must point obs -> prof at the header level only
  * (everything here is header-only inline; the profiling *collector*
  * lives in prof/collector.hpp and does link against lp_obs).
@@ -49,15 +49,16 @@ inline std::atomic<bool> g_profilingEnabled{false};
 
 /**
  * Lock-wait nanoseconds this thread has accumulated across every
- * contended TimedMutex acquire.  CellScope reads it at cell start and
- * end to attribute lock-wait to the cell.
+ * contended TimedMutex acquire.  TaskScope reads it at task start and
+ * end to attribute lock-wait to the task's cells.
  */
 inline thread_local std::uint64_t t_lockWaitNs = 0;
 
 /**
- * Small dense shard index of the calling thread.  Independent of
- * obs::threadLane() (this header must not include obs); it only spreads
- * stat updates across shards, it never appears in any output.
+ * Small dense shard index of the calling thread, shared by the lock
+ * sites here and the obs metrics registry.  It only spreads updates
+ * across shards and never appears in any output: profile lanes are
+ * exec::workerSlot()s.
  */
 inline unsigned
 shardLane()

@@ -48,9 +48,8 @@
 #include "interp/machine.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/timer.hpp"
 #include "predict/predictor.hpp"
-#include "prof/collector.hpp"
+#include "prof/phase.hpp"
 #include "rt/shadow.hpp"
 #include "support/error.hpp"
 #include "support/text.hpp"
@@ -1138,15 +1137,13 @@ trace::Trace
 recordTrace(const ir::Module &mod, const trace::BatchDispatchTable &table,
             const guard::RunBudget &budget)
 {
-    obs::ScopedPhase phase("record");
-    prof::EpochScope epoch(prof::EpochKind::Record);
+    prof::ScopedPhase phase("record");
     trace::Recorder rec(table, budget.maxTraceBytes);
     interp::Machine machine(mod, nullptr);
     machine.setBudget(budget);
     machine.setRecorder(&rec);
     machine.run();
     phase.addInstructions(machine.cost());
-    epoch.addInstructions(machine.cost());
     return rec.finish(machine.cost());
 }
 
@@ -1176,33 +1173,29 @@ evaluate(const ModulePlan &plan, const trace::BatchDispatchTable &table,
 
     std::unique_ptr<LaneEngine> engine;
     {
-        obs::ScopedPhase phase("plan");
+        prof::ScopedPhase phase("plan");
         engine = std::make_unique<LaneEngine>(plan, table, cfgs, oracle);
     }
     std::uint64_t finalCost = 0;
     if (t) {
-        obs::ScopedPhase phase("replay_batch");
-        prof::EpochScope epoch(prof::EpochKind::ReplayBatch);
+        prof::ScopedPhase phase("replay_batch");
         trace::replayDispatch(table, *t, *engine);
         finalCost = t->finalCost;
         // Every lane advanced by the whole clock.
         const std::uint64_t laneInstructions =
             finalCost * static_cast<std::uint64_t>(cfgs.size());
         phase.addInstructions(laneInstructions);
-        epoch.addInstructions(laneInstructions);
     } else {
-        obs::ScopedPhase phase("interpret");
-        prof::EpochScope epoch(prof::EpochKind::Interp);
+        prof::ScopedPhase phase("interpret");
         LiveFeed feed(*engine, table);
         interp::Machine machine(plan.module(), &feed);
         feed.attach(machine);
         machine.run();
         finalCost = machine.cost();
         phase.addInstructions(finalCost);
-        epoch.addInstructions(finalCost);
     }
 
-    obs::ScopedPhase phase("report");
+    prof::ScopedPhase phase("report");
     std::vector<ProgramReport> reports = engine->finish(name, finalCost);
     LP_LOG_INFO("%s: %zu configuration lane(s) from one %s pass, final "
                 "cost %llu",

@@ -1,7 +1,7 @@
 #include "rt/report.hpp"
 
 #include "obs/metrics.hpp"
-#include "obs/timer.hpp"
+#include "prof/phase.hpp"
 #include "support/table.hpp"
 #include "support/text.hpp"
 
@@ -195,7 +195,7 @@ ProgramReport::toJson(bool withObsSnapshot) const
     }
     if (withObsSnapshot) {
         out.set("metrics", obs::Registry::instance().toJson());
-        out.set("phases", obs::PhaseTree::instance().toJson());
+        out.set("phases", prof::PhaseTree::instance().toJson());
     }
     return out;
 }

@@ -130,9 +130,8 @@ InternalError::InternalError(std::string msg)
 void
 panic(const std::string &msg)
 {
-    // Route through the obs logger (the single diagnostics path) so the
-    // message also lands in any attached structured sink; force bypasses
-    // LP_LOG=off — a panic must never be silent.
+    // Route through the obs logger (the single diagnostics path); force
+    // bypasses LP_LOG=off — a panic must never be silent.
     obs::logMessage(obs::Level::Error, "panic: " + msg, /*force=*/true);
     std::abort();
 }

@@ -21,7 +21,7 @@
 #include "exec/pool.hpp"
 #include "helpers.hpp"
 #include "obs/metrics.hpp"
-#include "obs/timer.hpp"
+#include "prof/phase.hpp"
 #include "rt/plan.hpp"
 #include "support/error.hpp"
 
@@ -225,22 +225,22 @@ TEST(ConcurrentMetrics, RegistryLookupUnderContention)
 
 TEST(ConcurrentMetrics, PhaseTimersFromWorkers)
 {
-    obs::PhaseTree::instance().reset();
+    prof::PhaseTree::instance().reset();
     parallelFor(
         8,
         [&](std::size_t) {
             for (int i = 0; i < 200; ++i) {
-                obs::ScopedPhase outer("worker-phase");
-                obs::ScopedPhase inner("inner");
+                prof::ScopedPhase outer("worker-phase");
+                prof::ScopedPhase inner("inner");
                 inner.addInstructions(3);
             }
         },
         8);
     // 8 * 200 enters merged into one node per name; count is atomic.
-    std::string json = obs::PhaseTree::instance().toJson().dump();
+    std::string json = prof::PhaseTree::instance().toJson().dump();
     EXPECT_NE(json.find("worker-phase"), std::string::npos);
     EXPECT_NE(json.find("1600"), std::string::npos) << json;
-    obs::PhaseTree::instance().reset();
+    prof::PhaseTree::instance().reset();
 }
 
 // ---------------------------------------------------- suite aggregation

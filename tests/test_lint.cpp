@@ -137,6 +137,8 @@ TEST(LintCorpus, InfiniteLoop)
               (std::vector<std::string>{"LINT_INFINITE_LOOP"}));
     // The loop is otherwise canonical, so no shape warning rides along.
     EXPECT_EQ(res.diags[0].loc.block, "spin.hdr");
+    // A loop that can never terminate gates the module.
+    EXPECT_TRUE(res.hasErrors());
 }
 
 TEST(LintCorpus, Irreducible)

@@ -3,10 +3,12 @@
  * End-to-end tests for the lp-lint executable: exit-status contract
  * (0 = clean, 1 = error-level findings, 2 = usage/input error) and the
  * --sarif PATH side channel (SARIF lands in the file, stdout is
- * byte-identical with and without it).
+ * byte-identical with and without it); plus the run_study --lint gate
+ * on a module that could never terminate.
  *
- * The binary path comes in via LP_LINT_BIN; commands run through
- * std::system with stdout redirected to a scratch file.
+ * The binary paths come in via LP_LINT_BIN and LP_RUN_STUDY_BIN;
+ * commands run through std::system with stdout redirected to a scratch
+ * file.
  */
 
 #include <cstdio>
@@ -125,6 +127,23 @@ TEST(LintCli, UnwritableSarifPathExitsTwo)
                           corpus("dead_def"),
                       scratch("cli_sarif_bad.out")),
               2);
+}
+
+TEST(LintCli, RunStudyGateStopsAnInfiniteLoop)
+{
+    // The gate must stop the module before it runs: without it the
+    // loop spins toward the fuel budget.  The wall budget only bounds
+    // this test if the gate ever regresses; the [LP_LINT] check tells
+    // the two exits apart.
+    std::string errPath = scratch("cli_infinite.err");
+    std::string cmd = std::string(LP_RUN_STUDY_BIN) + " --file " +
+        corpus("infinite") + " reduc1-dep1-fn2 helix --lint " +
+        "--budget-wall-ms 10000 > " + scratch("cli_infinite.out") +
+        " 2> " + errPath;
+    int rc = std::system(cmd.c_str());
+    EXPECT_EQ(WIFEXITED(rc) ? WEXITSTATUS(rc) : -1, 1);
+    EXPECT_NE(readFile(errPath).find("[LP_LINT]"), std::string::npos)
+        << readFile(errPath);
 }
 
 } // namespace

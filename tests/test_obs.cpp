@@ -1,19 +1,17 @@
 /**
  * @file
  * Tests of the lp::obs observability layer: JSON round-trips, metric
- * arithmetic, timer nesting, sink output formats, and LP_LOG filtering.
+ * arithmetic, phase-timer nesting, and LP_LOG filtering.
  */
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <sstream>
 
 #include "obs/json.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/sink.hpp"
-#include "obs/timer.hpp"
+#include "prof/phase.hpp"
 #include "support/text.hpp" // strf, used by the LP_LOG_* macros
 
 namespace lp::obs {
@@ -27,17 +25,16 @@ class ObsSandbox
         : savedLevel_(logLevel()), savedMetrics_(metricsOn())
     {
         Registry::instance().resetAll();
-        PhaseTree::instance().reset();
+        prof::PhaseTree::instance().reset();
         setMetricsEnabled(true);
     }
     ~ObsSandbox()
     {
-        Session::instance().attach(nullptr);
         setMetricsEnabled(savedMetrics_);
         setLogLevel(savedLevel_);
         setLogStream(nullptr);
         Registry::instance().resetAll();
-        PhaseTree::instance().reset();
+        prof::PhaseTree::instance().reset();
     }
 
   private:
@@ -156,23 +153,23 @@ TEST(Timers, NestingBuildsATree)
 {
     ObsSandbox sandbox;
     {
-        ScopedPhase outer("outer");
+        prof::ScopedPhase outer("outer");
         {
-            ScopedPhase inner("inner");
+            prof::ScopedPhase inner("inner");
             inner.addInstructions(100);
         }
         {
-            ScopedPhase inner("inner"); // merges with the node above
+            prof::ScopedPhase inner("inner"); // merges with the above
         }
-        ScopedPhase sibling("sibling");
+        prof::ScopedPhase sibling("sibling");
     }
     {
-        ScopedPhase outer("outer"); // second completion of the same node
+        prof::ScopedPhase outer("outer"); // second completion, same node
     }
 
-    const PhaseNode &root = PhaseTree::instance().root();
+    const prof::PhaseNode &root = prof::PhaseTree::instance().root();
     ASSERT_EQ(root.children.size(), 1u);
-    const PhaseNode &outer = *root.children[0];
+    const prof::PhaseNode &outer = *root.children[0];
     EXPECT_EQ(outer.name, "outer");
     EXPECT_EQ(outer.count, 2u);
     ASSERT_EQ(outer.children.size(), 2u);
@@ -182,116 +179,12 @@ TEST(Timers, NestingBuildsATree)
     EXPECT_EQ(outer.children[1]->name, "sibling");
 
     std::string err;
-    Json json = Json::parse(PhaseTree::instance().toJson().dump(), &err);
+    Json json =
+        Json::parse(prof::PhaseTree::instance().toJson().dump(), &err);
     ASSERT_TRUE(err.empty()) << err;
     EXPECT_EQ(json.at(0).at("name").asString(), "outer");
     EXPECT_EQ(json.at(0).at("children").at(0).at("instructions").asU64(),
               100u);
-}
-
-// ---------------------------------------------------------------- sinks
-
-TEST(Sinks, JsonlLinesAreValidJson)
-{
-    ObsSandbox sandbox;
-    std::ostringstream buf;
-    {
-        auto sink = std::make_unique<JsonlSink>(buf);
-        sink->event("log", Json::object().set("msg", "hello"));
-        sink->span("interpret", 10.0, 32.5,
-                   Json::object().set("instructions", 1234), /*tid=*/0);
-        sink->flush();
-    }
-
-    std::istringstream lines(buf.str());
-    std::string line;
-    int n = 0;
-    while (std::getline(lines, line)) {
-        std::string err;
-        Json rec = Json::parse(line, &err);
-        ASSERT_TRUE(err.empty()) << err << " in line: " << line;
-        ASSERT_TRUE(rec.contains("kind"));
-        ++n;
-    }
-    EXPECT_EQ(n, 2);
-
-    Json second = Json::parse(buf.str().substr(buf.str().find('\n') + 1));
-    EXPECT_EQ(second.at("kind").asString(), "phase");
-    EXPECT_EQ(second.at("name").asString(), "interpret");
-    EXPECT_DOUBLE_EQ(second.at("dur_us").asDouble(), 32.5);
-}
-
-TEST(Sinks, ChromeTraceDocumentShape)
-{
-    ObsSandbox sandbox;
-    std::string path = testing::TempDir() + "lp_obs_trace.json";
-    {
-        ChromeTraceSink sink(path);
-        sink.span("interpret", 5.0, 100.0, Json::object(), /*tid=*/0);
-        sink.event("metrics", Json::object().set("x", 1));
-        sink.flush();
-    }
-
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    std::stringstream buf;
-    buf << in.rdbuf();
-    std::string err;
-    Json doc = Json::parse(buf.str(), &err);
-    ASSERT_TRUE(err.empty()) << err;
-
-    const Json &events = doc.at("traceEvents");
-    ASSERT_EQ(events.size(), 2u);
-    EXPECT_EQ(events.at(0).at("name").asString(), "interpret");
-    EXPECT_EQ(events.at(0).at("ph").asString(), "X");
-    EXPECT_DOUBLE_EQ(events.at(0).at("ts").asDouble(), 5.0);
-    EXPECT_DOUBLE_EQ(events.at(0).at("dur").asDouble(), 100.0);
-    EXPECT_EQ(events.at(1).at("ph").asString(), "i");
-}
-
-TEST(Sinks, SessionConfigureParsesSpecs)
-{
-    ObsSandbox sandbox;
-    Session &s = Session::instance();
-    EXPECT_FALSE(s.configure("bogus"));
-    EXPECT_EQ(s.sink(), nullptr);
-    EXPECT_FALSE(s.configure("chrome:"));
-    std::string path = testing::TempDir() + "lp_obs_session.json";
-    EXPECT_TRUE(s.configure("chrome:" + path));
-    EXPECT_NE(s.sink(), nullptr);
-    EXPECT_TRUE(traceOn());
-    EXPECT_TRUE(metricsOn()); // a trace sink implies metrics
-    s.attach(nullptr);
-    EXPECT_FALSE(traceOn());
-}
-
-TEST(Sinks, ScopedPhaseEmitsTraceSpan)
-{
-    ObsSandbox sandbox;
-    std::string path = testing::TempDir() + "lp_obs_phase_trace.json";
-    Session::instance().configure("chrome:" + path);
-    {
-        ScopedPhase phase("unit-test-phase");
-    }
-    Session::instance().close(); // flush + final metrics snapshot
-
-    std::ifstream in(path);
-    std::stringstream buf;
-    buf << in.rdbuf();
-    std::string err;
-    Json doc = Json::parse(buf.str(), &err);
-    ASSERT_TRUE(err.empty()) << err;
-    bool sawPhase = false;
-    bool sawMetrics = false;
-    for (std::size_t i = 0; i < doc.at("traceEvents").size(); ++i) {
-        const Json &e = doc.at("traceEvents").at(i);
-        if (e.at("name").asString() == "unit-test-phase")
-            sawPhase = true;
-        if (e.at("name").asString() == "metrics")
-            sawMetrics = true;
-    }
-    EXPECT_TRUE(sawPhase);
-    EXPECT_TRUE(sawMetrics);
 }
 
 // -------------------------------------------------------------- logging
@@ -326,32 +219,6 @@ TEST(Log, LevelFiltersMessages)
     EXPECT_EQ(out.find("d1"), std::string::npos);
     EXPECT_EQ(out.find("e2"), std::string::npos);
     EXPECT_NE(out.find("forced"), std::string::npos);
-}
-
-TEST(Log, MessagesMirrorIntoJsonlSink)
-{
-    ObsSandbox sandbox;
-    std::ostringstream text;
-    setLogStream(&text);
-    std::string path = testing::TempDir() + "lp_obs_log.jsonl";
-    Session::instance().configure("jsonl:" + path);
-
-    setLogLevel(Level::Info);
-    LP_LOG_INFO("structured %d", 7);
-    Session::instance().close();
-
-    std::ifstream in(path);
-    std::string line;
-    bool found = false;
-    while (std::getline(in, line)) {
-        std::string err;
-        Json rec = Json::parse(line, &err);
-        ASSERT_TRUE(err.empty()) << err;
-        if (rec.at("kind").asString() == "log" &&
-            rec.at("data").at("msg").asString() == "structured 7")
-            found = true;
-    }
-    EXPECT_TRUE(found);
 }
 
 } // namespace

@@ -6,12 +6,13 @@
  * Shape of the suite:
  *  - TimedMutex: disabled cost model (no stats recorded), uncontended
  *    fast path, forced contention producing wait-ns and the per-thread
- *    lock-wait accumulator CellScope attribution is built on;
+ *    lock-wait accumulator TaskScope attribution is built on;
  *  - Collector: spec parsing, per-cell JSONL well-formedness and schema
  *    round-trip, per-worker timeline lane validity (one lane per
- *    exec worker slot), epoch attribution from the interpret/record/
- *    engine hot loops, and truthful worker utilization on a real
- *    sweep (lane tasks are the profiled work);
+ *    exec worker slot, however many), epoch attribution from the
+ *    interpret/record/replay_batch phases, truthful worker utilization
+ *    on a real sweep (lane tasks are the profiled work), and the one
+ *    Chrome timeline holding cell and phase spans on the worker lanes;
  *  - Determinism: a profiled runSweep document is byte-identical to an
  *    unprofiled one, serial and at --jobs 4.
  */
@@ -20,6 +21,8 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <latch>
+#include <map>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -32,7 +35,9 @@
 #include "guard/budget.hpp"
 #include "helpers.hpp"
 #include "obs/json.hpp"
+#include "obs/metrics.hpp"
 #include "prof/collector.hpp"
+#include "prof/phase.hpp"
 #include "prof/timed_mutex.hpp"
 
 namespace lp {
@@ -118,7 +123,7 @@ TEST_F(ProfSandbox, ForcedContentionRecordsWaitAndThreadAccumulator)
     EXPECT_EQ(m.stats().contended(), 1u);
     EXPECT_GT(m.stats().waitNs(), 0u);
     // The contended wait landed in the waiting thread's accumulator —
-    // this is what CellScope diffs to attribute lock-wait to cells.
+    // this is what TaskScope diffs to attribute lock-wait to cells.
     EXPECT_EQ(waiterLockWaitNs, m.stats().waitNs());
 }
 
@@ -189,14 +194,14 @@ TEST_F(ProfSandbox, CellRecordsRoundTripThroughJsonlAndReport)
 
     c.beginRegion();
     {
-        prof::CellScope cell("164.gzip-like", "cint2000",
+        prof::TaskScope cell("164.gzip-like", "cint2000",
                              "reduc1-dep1-fn2 helix");
-        cell.setInstructions(12345);
+        cell.setInstructions(0, 12345);
         cell.setAttempts(2);
         cell.setStatus("ok");
     }
     {
-        prof::CellScope cell("175.vpr-like", "cint2000",
+        prof::TaskScope cell("175.vpr-like", "cint2000",
                              "reduc1-dep1-fn2 helix");
         // No setStatus: an unwound scope records as failed.
     }
@@ -327,7 +332,8 @@ TEST_F(ProfSandbox, WorkerTimelinesHaveValidLanesAndUtilization)
     std::size_t cellEvents = 0;
     for (std::size_t i = 0; i < events.size(); ++i) {
         const obs::Json &e = events.at(i);
-        if (e.at("ph").asString() != "X")
+        if (e.at("ph").asString() != "X" ||
+            e.at("cat").asString() != "cell")
             continue;
         ++cellEvents;
         EXPECT_TRUE(seenLanes.count(e.at("tid").asU64()))
@@ -338,6 +344,99 @@ TEST_F(ProfSandbox, WorkerTimelinesHaveValidLanesAndUtilization)
 
     quiesce();
     std::remove((path + ".cells.jsonl").c_str());
+}
+
+TEST_F(ProfSandbox, ChromeTimelineHoldsPhaseAndCellSpansOnWorkerLanes)
+{
+    // The one timeline: a profiled --jobs 4 sweep in chrome mode draws
+    // its cell spans and its phase spans on the same worker lanes, and
+    // the summary instant carries the metrics snapshot when metrics
+    // are on.
+    prof::Collector &c = prof::Collector::instance();
+    const std::string path = tempPath("lp_prof_timeline.json");
+    ASSERT_TRUE(c.configure("chrome:" + path));
+    const bool savedMetrics = obs::metricsOn();
+    obs::setMetricsEnabled(true);
+    sweepDoc(4);
+    const bool written = c.finish();
+    obs::setMetricsEnabled(savedMetrics);
+    ASSERT_TRUE(written);
+
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good());
+    std::stringstream buf;
+    buf << in.rdbuf();
+    std::string err;
+    obs::Json doc = obs::Json::parse(buf.str(), &err);
+    ASSERT_TRUE(err.empty()) << err;
+
+    const obs::Json &events = doc.at("traceEvents");
+    std::set<std::string> cats, phases;
+    bool sawMetrics = false;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+        const obs::Json &e = events.at(i);
+        if (e.at("name").asString() == "lp_prof.summary")
+            sawMetrics = e.at("args").contains("metrics");
+        if (e.at("ph").asString() != "X")
+            continue;
+        EXPECT_LT(e.at("tid").asU64(), 4u) << e.at("name").asString();
+        cats.insert(e.at("cat").asString());
+        if (e.at("cat").asString() == "phase")
+            phases.insert(e.at("name").asString());
+    }
+    EXPECT_EQ(cats, (std::set<std::string>{"cell", "phase"}));
+    EXPECT_TRUE(phases.count("record"));
+    EXPECT_TRUE(phases.count("replay_batch"));
+    EXPECT_TRUE(sawMetrics);
+    std::remove(path.c_str());
+}
+
+TEST_F(ProfSandbox, EveryWorkerSlotOwnsItsLane)
+{
+    // A 65-worker region: every slot must keep its own lane state —
+    // none may fold into another slot's epoch totals or idle marker.
+    // The latch holds each worker inside its one unit until all 65
+    // have claimed theirs, so every slot runs exactly one.
+    constexpr unsigned kWorkers = 65;
+    prof::Collector &c = prof::Collector::instance();
+    c.setEnabled(true);
+    std::latch allStarted(kWorkers);
+    c.beginRegion();
+    exec::parallelFor(
+        kWorkers,
+        [&](std::size_t) {
+            const unsigned slot = exec::workerSlot();
+            prof::TaskScope unit("p" + std::to_string(slot), "prof-test",
+                                 "cfg");
+            prof::ScopedPhase phase("record");
+            phase.addInstructions(slot + 1);
+            allStarted.arrive_and_wait();
+            unit.setStatus("ok");
+        },
+        kWorkers);
+    c.endRegion();
+    c.setEnabled(false);
+
+    obs::Json cells = c.cellsJson();
+    ASSERT_EQ(cells.size(), kWorkers);
+    std::map<std::uint64_t, std::uint64_t> cellWait; // lane -> wait
+    for (std::size_t i = 0; i < cells.size(); ++i)
+        cellWait[cells.at(i).at("worker").asU64()] =
+            cells.at(i).at("queue_wait_ns").asU64();
+
+    obs::Json workers = c.workersJson();
+    const obs::Json &lanes = workers.at("workers");
+    ASSERT_EQ(lanes.size(), kWorkers);
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+        const obs::Json &w = lanes.at(i);
+        const std::uint64_t lane = w.at("worker").asU64();
+        EXPECT_EQ(lane, i);
+        EXPECT_EQ(w.at("cells").asU64(), 1u);
+        EXPECT_EQ(w.at("queue_wait_ns").asU64(), cellWait.at(lane));
+        EXPECT_EQ(w.at("epochs").at("record").at("instructions").asU64(),
+                  lane + 1)
+            << "lane " << lane;
+    }
 }
 
 TEST_F(ProfSandbox, QueueWaitIsLaneIdleGapNotRegionOffset)
@@ -352,7 +451,7 @@ TEST_F(ProfSandbox, QueueWaitIsLaneIdleGapNotRegionOffset)
 
     c.beginRegion();
     for (int i = 0; i < 50; ++i) {
-        prof::CellScope cell("p" + std::to_string(i), "prof-test",
+        prof::TaskScope cell("p" + std::to_string(i), "prof-test",
                              "cfg");
         cell.setStatus("ok");
         // Busy time inside the cell: under the old definition each
