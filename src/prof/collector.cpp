@@ -21,8 +21,8 @@ steadyNanos()
             .count());
 }
 
-/** The epoch phases, in profile key order: the phase each epoch sums,
- *  and its key under a worker's "epochs". */
+/** The epoch phases, in profile key order: the phase spans each epoch
+ *  sums, and its key under a worker's "epochs". */
 struct EpochPhase
 {
     const char *phase;
@@ -54,10 +54,7 @@ cellToJson(const CellRecord &rec)
 
 } // namespace
 
-Collector::Collector() : epochNanos_(steadyNanos())
-{
-    static_assert(std::size(kEpochPhases) == kNumEpochs);
-}
+Collector::Collector() : epochNanos_(steadyNanos()) {}
 
 Collector &
 Collector::instance()
@@ -202,14 +199,8 @@ Collector::recordPhase(const std::string &name, std::uint64_t wallNs,
     const std::uint64_t end = nowNs();
     const unsigned worker = exec::workerSlot();
     std::lock_guard<TimedMutex> lock(laneMu_);
-    Lane &lane = laneLocked(worker);
-    lane.phases.push_back(
+    laneLocked(worker).phases.push_back(
         {name, end > wallNs ? end - wallNs : 0, wallNs, instructions});
-    for (std::size_t k = 0; k < kNumEpochs; ++k)
-        if (name == kEpochPhases[k].phase) {
-            lane.epochInstructions[k] += instructions;
-            lane.epochWallNs[k] += wallNs;
-        }
 }
 
 obs::Json
@@ -300,18 +291,22 @@ Collector::workersJson() const
         one.set("lock_wait_ns", w.lockWaitNs);
         one.set("instructions", w.instructions);
         one.set("utilization", util);
-        // Epoch attribution for this lane, if any was collected.
+        // Epoch attribution: this lane's epoch-phase spans, summed.
         obs::Json ep = obs::Json::object();
-        if (lane < lanes_.size()) {
-            const Lane &l = lanes_[lane];
-            for (std::size_t k = 0; k < kNumEpochs; ++k) {
-                if (l.epochInstructions[k] == 0 && l.epochWallNs[k] == 0)
-                    continue;
-                obs::Json kind = obs::Json::object();
-                kind.set("instructions", l.epochInstructions[k]);
-                kind.set("wall_ns", l.epochWallNs[k]);
-                ep.set(kEpochPhases[k].key, std::move(kind));
-            }
+        for (const EpochPhase &e : kEpochPhases) {
+            std::uint64_t instructions = 0, wallNs = 0;
+            if (lane < lanes_.size())
+                for (const PhaseSpan &p : lanes_[lane].phases)
+                    if (p.name == e.phase) {
+                        instructions += p.instructions;
+                        wallNs += p.wallNs;
+                    }
+            if (instructions == 0 && wallNs == 0)
+                continue;
+            obs::Json kind = obs::Json::object();
+            kind.set("instructions", instructions);
+            kind.set("wall_ns", wallNs);
+            ep.set(e.key, std::move(kind));
         }
         one.set("epochs", std::move(ep));
         arr.push(std::move(one));

@@ -20,10 +20,10 @@
  *    sweep still leaves its telemetry;
  *  - phase spans: every prof::ScopedPhase (phase.hpp) that closes
  *    records one span on the calling worker's lane;
- *  - execution epochs: the `record`, `replay_batch` and `interpret`
- *    phases also add their (instructions, wall-ns) to the calling
- *    worker's epoch totals — the hot loops themselves carry no
- *    profiling.
+ *  - execution epochs: a worker's `record`, `replay_batch` and
+ *    `interpret` phase spans, summed into (instructions, wall-ns)
+ *    totals when the profile is written — the hot loops themselves
+ *    carry no profiling.
  *
  * A worker lane is an exec::workerSlot(), so a `--jobs N` run never
  * shows more than N lanes.  finish() rolls everything into the profile
@@ -120,8 +120,7 @@ class Collector
     /**
      * A phase named @p name just closed on the calling worker after
      * @p wallNs with @p instructions attributed: record its span on
-     * the worker's lane, and add it to the worker's epoch totals when
-     * it is one of the epoch phases.
+     * the worker's lane.
      */
     void recordPhase(const std::string &name, std::uint64_t wallNs,
                      std::uint64_t instructions);
@@ -178,17 +177,12 @@ class Collector
         std::uint64_t instructions = 0;
     };
 
-    /** The epoch phases: interpret, record and replay_batch. */
-    static constexpr std::size_t kNumEpochs = 3;
-
     /** Everything kept per worker slot. */
     struct Lane
     {
         /** When the lane last went idle inside the current region (its
          *  previous unit's end); 0 = no work yet this region. */
         std::uint64_t idleSinceNs = 0;
-        std::uint64_t epochInstructions[kNumEpochs] = {};
-        std::uint64_t epochWallNs[kNumEpochs] = {};
         std::vector<PhaseSpan> phases;
     };
 

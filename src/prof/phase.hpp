@@ -15,10 +15,10 @@
  *
  * While profiling is on (prof::profilingOn()), a closing scope also
  * hands its wall time and instructions to the Collector, which records
- * a phase span on the calling worker's lane and — for the `record`,
- * `replay_batch` and `interpret` phases — adds them to that worker's
- * epoch totals (collector.hpp).  With profiling off that is one relaxed
- * atomic load per scope.
+ * a phase span on the calling worker's lane; the `record`,
+ * `replay_batch` and `interpret` spans are that worker's epochs
+ * (collector.hpp).  With profiling off that is one relaxed atomic load
+ * per scope.
  *
  * Thread-safety: the cursor each ScopedPhase moves is thread-local, so
  * every thread nests independently; lp::exec workers start at the root,

@@ -15,16 +15,21 @@
  * wait-ns accumulator (prof::TaskScope diffs the latter to attribute
  * lock-wait to individual sweep cells).
  *
+ * It also holds ShardedCounter, the one sharded relaxed-atomic counter
+ * in the framework: each lock site's stats are three of them, and
+ * obs::Counter names the same type.
+ *
  * This header is deliberately free of lp::obs includes: lp::obs itself
- * adopts TimedMutex for its registry mutexes, so the
- * dependency must point obs -> prof at the header level only
- * (everything here is header-only inline; the profiling *collector*
- * lives in prof/collector.hpp and does link against lp_obs).
+ * adopts TimedMutex for its registry mutex and ShardedCounter for its
+ * counters, so the dependency must point obs -> prof at the header
+ * level only (everything here is header-only inline; the profiling
+ * *collector* lives in prof/collector.hpp and does link against
+ * lp_obs).
  *
  * Thread-safety: lock()/try_lock()/unlock() are safe from any thread
- * (it is a mutex).  Site stats are sharded across cache-line-padded
- * atomic cells, so concurrent recording does not ping-pong one line;
- * snapshots are exact once writers are quiesced.  Site registration
+ * (it is a mutex).  Site stats are sharded counters, so concurrent
+ * recording does not ping-pong one line; snapshots are exact once
+ * writers are quiesced.  Site registration
  * (the first TimedMutex constructed per name) takes a private
  * registration mutex — construction is cold by design.
  */
@@ -55,10 +60,9 @@ inline std::atomic<bool> g_profilingEnabled{false};
 inline thread_local std::uint64_t t_lockWaitNs = 0;
 
 /**
- * Small dense shard index of the calling thread, shared by the lock
- * sites here and the obs metrics registry.  It only spreads updates
- * across shards and never appears in any output: profile lanes are
- * exec::workerSlot()s.
+ * Small dense shard index of the calling thread; ShardedCounter picks
+ * its shard with it.  It only spreads updates across shards and never
+ * appears in any output: profile lanes are exec::workerSlot()s.
  */
 inline unsigned
 shardLane()
@@ -70,6 +74,50 @@ shardLane()
 }
 
 } // namespace detail
+
+/**
+ * A monotonic count that many threads add to at once: relaxed atomic
+ * adds on the calling thread's cache-line-padded shard, so parallel
+ * workers do not ping-pong one hot line.  value() sums the shards:
+ * exact once the writers are quiesced (joined), a momentary
+ * approximation while they run.  The lock sites here and every
+ * obs::Counter are this type.
+ */
+class ShardedCounter
+{
+  public:
+    ShardedCounter() = default;
+    ShardedCounter(const ShardedCounter &) = delete;
+    ShardedCounter &operator=(const ShardedCounter &) = delete;
+
+    void add(std::uint64_t n = 1)
+    {
+        shards_[detail::shardLane() & (kShards - 1)].v.fetch_add(
+            n, std::memory_order_relaxed);
+    }
+
+    std::uint64_t value() const
+    {
+        std::uint64_t sum = 0;
+        for (const Shard &s : shards_)
+            sum += s.v.load(std::memory_order_relaxed);
+        return sum;
+    }
+
+    void reset()
+    {
+        for (Shard &s : shards_)
+            s.v.store(0, std::memory_order_relaxed);
+    }
+
+  private:
+    static constexpr std::size_t kShards = 8;
+    struct alignas(64) Shard
+    {
+        std::atomic<std::uint64_t> v{0};
+    };
+    Shard shards_[kShards];
+};
 
 /** Is contention profiling recording?  One relaxed atomic load. */
 inline bool
@@ -95,61 +143,36 @@ struct LockSiteSnapshot
 };
 
 /**
- * Sharded per-site counters.  add* paths are relaxed atomics on a
- * lane-indexed cache-line-padded cell; totals sum the shards.
+ * Per-site lock telemetry: three sharded counters, bumped on the
+ * acquiring thread.
  */
 class LockSiteStats
 {
   public:
-    void addUncontended()
-    {
-        shard().acquisitions.fetch_add(1, std::memory_order_relaxed);
-    }
+    void addUncontended() { acquisitions_.add(); }
 
     void addContended(std::uint64_t waitNs)
     {
-        Shard &s = shard();
-        s.acquisitions.fetch_add(1, std::memory_order_relaxed);
-        s.contended.fetch_add(1, std::memory_order_relaxed);
-        s.waitNs.fetch_add(waitNs, std::memory_order_relaxed);
+        acquisitions_.add();
+        contended_.add();
+        waitNs_.add(waitNs);
     }
 
-    std::uint64_t acquisitions() const { return sum(&Shard::acquisitions); }
-    std::uint64_t contended() const { return sum(&Shard::contended); }
-    std::uint64_t waitNs() const { return sum(&Shard::waitNs); }
+    std::uint64_t acquisitions() const { return acquisitions_.value(); }
+    std::uint64_t contended() const { return contended_.value(); }
+    std::uint64_t waitNs() const { return waitNs_.value(); }
 
     void reset()
     {
-        for (Shard &s : shards_) {
-            s.acquisitions.store(0, std::memory_order_relaxed);
-            s.contended.store(0, std::memory_order_relaxed);
-            s.waitNs.store(0, std::memory_order_relaxed);
-        }
+        acquisitions_.reset();
+        contended_.reset();
+        waitNs_.reset();
     }
 
   private:
-    static constexpr std::size_t kShards = 8;
-    struct alignas(64) Shard
-    {
-        std::atomic<std::uint64_t> acquisitions{0};
-        std::atomic<std::uint64_t> contended{0};
-        std::atomic<std::uint64_t> waitNs{0};
-    };
-
-    Shard &shard()
-    {
-        return shards_[detail::shardLane() & (kShards - 1)];
-    }
-
-    std::uint64_t sum(std::atomic<std::uint64_t> Shard::*field) const
-    {
-        std::uint64_t total = 0;
-        for (const Shard &s : shards_)
-            total += (s.*field).load(std::memory_order_relaxed);
-        return total;
-    }
-
-    Shard shards_[kShards];
+    ShardedCounter acquisitions_;
+    ShardedCounter contended_;
+    ShardedCounter waitNs_;
 };
 
 /**

@@ -40,7 +40,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cctype>
 #include <memory>
 #include <unordered_map>
 
@@ -68,24 +67,13 @@ class LaneEngine
     LaneEngine(const ModulePlan &plan, const trace::BatchDispatchTable &table,
                const std::vector<LPConfig> &cfgs, OracleCapture *oracle)
         : plan_(plan), table_(table), cfgs_(cfgs), L_(cfgs.size()),
-          oracle_(oracle), metrics_(obs::metricsOn())
+          oracle_(oracle)
     {
         panicIf(L_ == 0 || L_ > kMaxLanes,
                 "engine lane count out of range");
 
-        obs::Registry &reg = obs::Registry::instance();
-        memEventsCtr_ = &reg.counter("tracker.mem_events");
-        conflictsCtr_ = &reg.counter("tracker.conflicts");
-        instancesCtr_ = &reg.counter("tracker.loop_instances");
-        // Roughly geometric trip-count buckets: tight loops vs. long
-        // streams.
-        tripCountHist_ = &reg.histogram(
-            "tracker.trip_count", {0, 1, 4, 16, 64, 256, 1024, 4096,
-                                   16384, 65536, 262144, 1048576});
-
         laneModel_.resize(L_);
         lanePdoallThr_.resize(L_);
-        laneSquashes_.resize(L_);
         for (std::size_t l = 0; l < L_; ++l) {
             const LPConfig &cfg = cfgs_[l];
             cfg.validate();
@@ -96,14 +84,6 @@ class LaneEngine
               case ExecModel::DoAll:        doallMask_ |= bit; break;
               case ExecModel::PartialDoAll: pdoallMask_ |= bit; break;
               case ExecModel::Helix:        helixMask_ |= bit; break;
-            }
-            if (cfg.model != ExecModel::Helix) {
-                // HELIX is non-speculative: nothing to squash.
-                std::string model = execModelName(cfg.model);
-                for (char &c : model)
-                    c = static_cast<char>(
-                        std::tolower(static_cast<unsigned char>(c)));
-                laneSquashes_[l] = &reg.counter("model.squashes." + model);
             }
             if (cfg.dep == 1)
                 dep1Mask_ |= bit;
@@ -296,8 +276,7 @@ class LaneEngine
     onLoad(const Instruction *instr, std::uint64_t addr,
            std::uint64_t preciseNow)
     {
-        if (metrics_)
-            memEventsCtr_->add(static_cast<std::uint64_t>(L_));
+        ++tally_.memEvents;
         const std::uint64_t granule = addr >> 3;
         const bool isStack = interp::Memory::isStackAddress(addr);
         for (BInst &inst : instStack_) {
@@ -318,8 +297,7 @@ class LaneEngine
     onStore(const Instruction *instr, std::uint64_t addr,
             std::uint64_t preciseNow)
     {
-        if (metrics_)
-            memEventsCtr_->add(static_cast<std::uint64_t>(L_));
+        ++tally_.memEvents;
         const std::uint64_t granule = addr >> 3;
         const bool isStack = interp::Memory::isStackAddress(addr);
         for (BInst &inst : instStack_) {
@@ -362,10 +340,50 @@ class LaneEngine
         out.reserve(L_);
         for (std::size_t l = 0; l < L_; ++l)
             out.push_back(laneReport(l, name, serialCost));
+        if (obs::metricsOn())
+            publishTally(out);
         return out;
     }
 
   private:
+    /**
+     * Add what the pass saw to the registry.  What the loop reports
+     * already hold is read from them: every lane counts every
+     * instance, a lane's memory conflicts are its reports'
+     * memConflicts, and a PDOALL lane's squashes are its conflicted
+     * iterations.  A squash counter exists for each speculative model
+     * with a lane in the pass; HELIX is non-speculative, so it has
+     * none.
+     */
+    void
+    publishTally(const std::vector<ProgramReport> &out) const
+    {
+        std::uint64_t loopInstances = 0;
+        std::uint64_t laneConflicts = tally_.laneRegConflicts;
+        std::uint64_t pdoallSquashes = 0;
+        for (std::size_t i = 0; i < reports_.size(); ++i) {
+            if (i % L_ == 0)
+                loopInstances += reports_[i].instances;
+            laneConflicts += reports_[i].memConflicts;
+            if ((pdoallMask_ >> (i % L_)) & 1)
+                pdoallSquashes += reports_[i].conflictIterations;
+        }
+        std::uint64_t loopReports = 0;
+        for (const ProgramReport &rep : out)
+            loopReports += rep.loops.size();
+
+        obs::Registry &reg = obs::Registry::instance();
+        reg.counter("engine.mem_events").add(tally_.memEvents);
+        reg.counter("engine.loop_instances").add(loopInstances);
+        reg.counter("engine.lane_conflicts").add(laneConflicts);
+        if (pdoallMask_)
+            reg.counter("engine.lane_squashes.pdoall").add(pdoallSquashes);
+        if (doallMask_)
+            reg.counter("engine.lane_squashes.doall")
+                .add(tally_.doallSquashes);
+        reg.counter("engine.loop_reports").add(loopReports);
+    }
+
     struct EFrame
     {
         std::size_t loopLo = 0;      ///< instStack_ depth at entry
@@ -607,8 +625,6 @@ class LaneEngine
         const std::size_t ro = static_cast<std::size_t>(ord) * L_;
         for (std::size_t l = 0; l < L_; ++l)
             reports_[ro + l].instances += 1;
-        if (metrics_)
-            instancesCtr_->add(static_cast<std::uint64_t>(L_));
     }
 
     /** A register LCD manifesting at the start of the current
@@ -618,16 +634,13 @@ class LaneEngine
     {
         const std::uint64_t bit = std::uint64_t{1} << l;
         anyConflictM_[inst.slot] |= bit;
-        if (metrics_)
-            conflictsCtr_->add(1);
+        ++tally_.laneRegConflicts;
         if ((pdoallMask_ & bit) && !(conflictedM_[inst.slot] & bit)) {
             const std::size_t i = inst.base + l;
             pAccum_[i] += phaseSlow_[i];
             phaseSlow_[i] = 0;
             conflictedM_[inst.slot] |= bit;
             cIters_[i] += 1;
-            if (metrics_)
-                laneSquashes_[l]->add(1);
         }
     }
 
@@ -640,9 +653,6 @@ class LaneEngine
         inst.memConflicts += 1;
         const std::uint64_t m = inst.eligMask;
         anyConflictM_[inst.slot] |= m;
-        if (metrics_)
-            conflictsCtr_->add(
-                static_cast<std::uint64_t>(std::popcount(m)));
         const std::size_t B = inst.base;
         // DOALL: anyConflict alone serializes the instance.  PDOALL:
         // the conflict squashes the current phase.
@@ -653,8 +663,6 @@ class LaneEngine
             pAccum_[B + l] += phaseSlow_[B + l];
             phaseSlow_[B + l] = 0;
             cIters_[B + l] += 1;
-            if (metrics_)
-                laneSquashes_[l]->add(1);
         }
         conflictedM_[inst.slot] |= todo;
         // HELIX: synchronize producer and consumer; the delay per
@@ -775,17 +783,10 @@ class LaneEngine
         if (inst.shadow)
             shadowFree_.push_back(inst.shadow);
 
-        if (metrics_) {
-            for (std::size_t l = 0; l < L_; ++l)
-                tripCountHist_->record(inst.curIter);
-            // DOALL is all-or-nothing speculation: any conflict
-            // discards the whole instance's parallel execution.
-            for (std::uint64_t m = inst.eligMask & doallMask_ &
-                                   anyConflictM_[inst.slot];
-                 m; m &= m - 1)
-                laneSquashes_[static_cast<unsigned>(std::countr_zero(m))]
-                    ->add(1);
-        }
+        // DOALL is all-or-nothing speculation: any conflict discards
+        // the whole instance's parallel execution.
+        tally_.doallSquashes += static_cast<std::uint64_t>(std::popcount(
+            inst.eligMask & doallMask_ & anyConflictM_[inst.slot]));
 
         const std::size_t ro = static_cast<std::size_t>(inst.ord) * L_;
         for (std::size_t l = 0; l < L_; ++l) {
@@ -948,10 +949,6 @@ class LaneEngine
                   [](const LoopReport &a, const LoopReport &b) {
                       return a.serialCost > b.serialCost;
                   });
-        if (metrics_)
-            obs::Registry::instance()
-                .counter("report.loops_reported")
-                .add(rep.loops.size());
         return rep;
     }
 
@@ -960,7 +957,6 @@ class LaneEngine
     const std::vector<LPConfig> cfgs_;
     const std::size_t L_;
     OracleCapture *const oracle_;
-    const bool metrics_;
 
     // Per-ordinal lane facts (flat, [ord * L_ + lane]).
     std::vector<std::uint64_t> eligMask_;
@@ -972,7 +968,6 @@ class LaneEngine
     // Per-lane configuration facts.
     std::vector<ExecModel> laneModel_;
     std::vector<double> lanePdoallThr_;
-    std::vector<obs::Counter *> laneSquashes_; ///< null for HELIX
     std::uint64_t doallMask_ = 0;
     std::uint64_t pdoallMask_ = 0;
     std::uint64_t helixMask_ = 0;
@@ -981,10 +976,15 @@ class LaneEngine
     std::uint64_t reduc0Mask_ = 0;
     std::uint64_t singleSyncMask_ = 0;
 
-    obs::Counter *memEventsCtr_;
-    obs::Counter *conflictsCtr_;
-    obs::Counter *instancesCtr_;
-    obs::Histogram *tripCountHist_;
+    /** What the pass saw that no report holds, published by
+     *  publishTally(): load/store events (shared, counted once),
+     *  register-LCD conflicts and DOALL squashes (both per lane). */
+    struct Tally
+    {
+        std::uint64_t memEvents = 0;
+        std::uint64_t laneRegConflicts = 0;
+        std::uint64_t doallSquashes = 0;
+    } tally_;
 
     // Shared dynamic structure.
     std::vector<EFrame> eframes_;

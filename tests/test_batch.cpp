@@ -5,8 +5,8 @@
  * holds the properties around them: a configuration's report does not
  * depend on how many lanes share its pass or where a 64-lane chunk
  * boundary falls, a truncated recording is evaluated live with the
- * same reports, malformed inputs fail with LP_IO, and the dispatch
- * table covers the module.
+ * same reports, malformed inputs fail with LP_IO, the dispatch table
+ * covers the module, and the engine's metrics count each event once.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +21,8 @@
 #include "core/sweep.hpp"
 #include "guard/budget.hpp"
 #include "helpers.hpp"
+#include "interp/machine.hpp"
+#include "obs/metrics.hpp"
 #include "rt/engine.hpp"
 #include "support/error.hpp"
 #include "trace/batch.hpp"
@@ -219,6 +221,53 @@ TEST_F(BatchTest, DispatchTableCoversTheWholeModule)
     EXPECT_EQ(table.callCost.size(), instrs);
     EXPECT_EQ(headers, lp.plan().numLoops());
     EXPECT_EQ(table.defWatches.size(), watches);
+}
+
+// ------------------------------------------------------ engine metrics
+
+/** Counts the loads and stores a plain interpreter run performs. */
+class MemEventCounter : public interp::ExecListener
+{
+  public:
+    void onLoad(const ir::Instruction *, std::uint64_t) override { ++n; }
+    void onStore(const ir::Instruction *, std::uint64_t) override { ++n; }
+    std::uint64_t n = 0;
+};
+
+TEST_F(BatchTest, EngineCountsEachEventOnceWhateverTheLaneCount)
+{
+    auto mod = test::buildHistogram(64, 8);
+    MemEventCounter plain;
+    interp::Machine machine(*mod, &plain);
+    machine.run();
+    ASSERT_GT(plain.n, 0u);
+
+    std::vector<LPConfig> paper;
+    for (const core::NamedConfig &named : core::paperConfigs())
+        paper.push_back(named.config);
+    ASSERT_EQ(paper.size(), 14u);
+
+    const bool saved = obs::metricsOn();
+    obs::setMetricsEnabled(true);
+    obs::Registry &reg = obs::Registry::instance();
+    // {engine.mem_events, engine.loop_instances} after one pass.
+    auto counts = [&](const std::vector<LPConfig> &cfgs) {
+        Loopapalooza lp(*mod);
+        (void)lp.trace(); // record before the counters are zeroed
+        reg.resetAll();
+        (void)lp.run(cfgs);
+        return std::make_pair(reg.counter("engine.mem_events").value(),
+                              reg.counter("engine.loop_instances").value());
+    };
+    const auto one = counts({paper.front()});
+    const auto all = counts(paper);
+    obs::setMetricsEnabled(saved);
+    reg.resetAll();
+
+    EXPECT_EQ(one.first, plain.n);
+    EXPECT_EQ(all.first, plain.n);
+    EXPECT_GT(one.second, 0u);
+    EXPECT_EQ(all.second, one.second);
 }
 
 // ------------------------------------------- sweep-level event sources

@@ -11,7 +11,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -167,33 +166,6 @@ TEST(ConcurrentMetrics, CounterTotalsMatchSerialSum)
 
     EXPECT_EQ(c.value(), 2 * kThreads * kAddsPerThread);
     c.reset();
-    obs::setMetricsEnabled(was);
-}
-
-TEST(ConcurrentMetrics, HistogramTotalsMatchSerialSum)
-{
-    const bool was = obs::metricsOn();
-    obs::setMetricsEnabled(true);
-    obs::Histogram &h = obs::Registry::instance().histogram(
-        "test.exec.hist", {10, 100, 1000});
-    h.reset();
-
-    constexpr unsigned kThreads = 8;
-    constexpr std::uint64_t kPerThread = 10'000;
-    parallelFor(
-        kThreads,
-        [&](std::size_t t) {
-            for (std::uint64_t i = 0; i < kPerThread; ++i)
-                h.record((t * kPerThread + i) % 2000);
-        },
-        kThreads);
-
-    EXPECT_EQ(h.count(), kThreads * kPerThread);
-    const std::vector<std::uint64_t> buckets = h.bucketCounts();
-    std::uint64_t bucketSum = std::accumulate(
-        buckets.begin(), buckets.end(), std::uint64_t{0});
-    EXPECT_EQ(bucketSum, h.count());
-    h.reset();
     obs::setMetricsEnabled(was);
 }
 
