@@ -22,7 +22,6 @@
 #include "core/driver.hpp"
 #include "core/sweep.hpp"
 #include "exec/pool.hpp"
-#include "guard/budget.hpp"
 #include "interp/machine.hpp"
 #include "ir/builder.hpp"
 #include "obs/metrics.hpp"
@@ -106,10 +105,9 @@ BM_InterpreterNullListener(benchmark::State &state)
 BENCHMARK(BM_InterpreterNullListener)->Unit(benchmark::kMillisecond);
 
 /**
- * Full limit study (record + one engine pass + report) on a
- * conflict-heavy kernel, with a fresh driver per iteration so every
- * iteration pays its recording — the same program the interpreter
- * benchmarks above run, so the two compare.
+ * Full limit study (analysis + one live engine pass + report) on a
+ * conflict-heavy kernel, with a fresh driver per iteration — the same
+ * program the interpreter benchmarks above run, so the two compare.
  */
 void
 BM_FullLimitStudy(benchmark::State &state)
@@ -242,35 +240,6 @@ writeBenchBaseline()
         core::Loopapalooza driver(*trackMod);
         return driver.run({cfg}).front().serialCost;
     }));
-
-    // The engine's parts on the same program, timed directly: the
-    // recording, one 14-lane pass replaying it, and one 14-lane pass
-    // fed live by the interpreter (what a recording over the trace
-    // byte budget costs instead).
-    {
-        std::vector<rt::LPConfig> configs;
-        for (const auto &named : core::paperConfigs())
-            configs.push_back(named.config);
-        core::Loopapalooza recorded(*trackMod);
-        obs::Json engine = obs::Json::object();
-        engine.set("lanes", configs.size());
-        engine.set("record", measurePhase(5, [&] {
-            core::Loopapalooza driver(*trackMod);
-            return driver.trace().finalCost;
-        }));
-        engine.set("replay_pass", measurePhase(5, [&] {
-            return recorded.run(configs).front().serialCost;
-        }));
-        guard::RunBudget tiny = guard::defaultBudget();
-        tiny.maxTraceBytes = 1;
-        guard::setBudgetOverride(tiny);
-        core::Loopapalooza live(*trackMod);
-        engine.set("live_pass", measurePhase(5, [&] {
-            return live.run(configs).front().serialCost;
-        }));
-        guard::clearBudgetOverride();
-        doc.set("engine", std::move(engine));
-    }
 
     // Sweep scaling: run_study's cint2000 sweep (14 configurations,
     // fresh programs per run), serial vs 4 workers vs all hardware

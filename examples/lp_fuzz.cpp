@@ -4,7 +4,7 @@
  *
  * Walks a seed range, generating a random loop-nest program per seed
  * and pushing it through every path pair the framework promises is
- * byte-identical (live vs trace-fed engine, 1 worker vs N,
+ * byte-identical (live fan-out vs replayed trace, 1 worker vs N,
  * sharded-merged vs unsharded, kill-and-resume vs straight-through)
  * plus the lint static-vs-dynamic oracles.
  *
@@ -12,7 +12,7 @@
  *   lp_fuzz --seed-range 0:500            # a 500-seed campaign
  *   lp_fuzz --seed=7 --minimize           # reproduce + shrink one seed
  *   lp_fuzz --time-budget 60              # stop after ~60 s
- *   lp_fuzz --fault-schedule replay:3     # compose with guard::fault
+ *   lp_fuzz --fault-schedule engine:3     # compose with guard::fault
  *   lp_fuzz --corpus DIR                  # where minimized entries land
  *   lp_fuzz --jobs-n 8 --shards 4         # pair parameters
  *
@@ -40,7 +40,7 @@ usage()
            "  --time-budget SEC    stop starting new seeds after SEC\n"
            "  --fault-schedule SITE:NTH\n"
            "                       arm guard::fault before every run\n"
-           "                       (io/replay: byte-identity must\n"
+           "                       (io/engine: byte-identity must\n"
            "                       survive; others: repeat-determinism)\n"
            "  --no-lint            skip the lint static-vs-dynamic pair\n"
            "  --minimize           shrink failures, write corpus entries\n"

@@ -20,10 +20,6 @@
  *   --budget-instructions N          dynamic-IR-instruction fuel per run
  *   --budget-wall-ms N               wall-clock deadline per run
  *   --budget-heap-bytes N            simulated heap cap per run
- *   --budget-trace-bytes N           event-trace payload cap per recording;
- *                                    a program whose recording outgrows
- *                                    it is evaluated from a live run
- *                                    instead (same reports)
  *                                    (or LP_BUDGET_* env; flags win)
  *
  * Checkpointing:
@@ -379,13 +375,6 @@ main(int argc, char **argv)
             if (a == "--budget-heap-bytes") {
                 budget.maxHeapBytes = guard::parseBudgetValue(
                     "--budget-heap-bytes", value("--budget-heap-bytes"));
-                budgetTouched = true;
-                continue;
-            }
-            if (a == "--budget-trace-bytes") {
-                budget.maxTraceBytes = guard::parseBudgetValue(
-                    "--budget-trace-bytes",
-                    value("--budget-trace-bytes"));
                 budgetTouched = true;
                 continue;
             }

@@ -42,6 +42,27 @@ paperConfigs()
     return configs;
 }
 
+std::vector<LPConfig>
+tableTwoConfigs()
+{
+    std::vector<LPConfig> grid;
+    for (ExecModel m :
+         {ExecModel::DoAll, ExecModel::PartialDoAll, ExecModel::Helix})
+        for (int reduc = 0; reduc <= 1; ++reduc)
+            for (int dep = 0; dep <= 3; ++dep)
+                for (int fn = 0; fn <= 3; ++fn) {
+                    if (m == ExecModel::DoAll && dep != 0)
+                        continue;
+                    LPConfig c;
+                    c.model = m;
+                    c.reduc = reduc;
+                    c.dep = dep;
+                    c.fn = fn;
+                    grid.push_back(c);
+                }
+    return grid;
+}
+
 LPConfig
 bestPdoall()
 {

@@ -24,6 +24,12 @@ struct NamedConfig
 /** All 14 rows of Figures 2/3, bottom (DOALL) to top (HELIX). */
 const std::vector<NamedConfig> &paperConfigs();
 
+/**
+ * Every valid Table II configuration (72): each model x reduc x dep x
+ * fn, except DOALL with dep != 0.
+ */
+std::vector<rt::LPConfig> tableTwoConfigs();
+
 /** Best realistic PDOALL point of Figure 4: reduc1-dep2-fn2 PDOALL. */
 rt::LPConfig bestPdoall();
 

@@ -1,8 +1,5 @@
 #include "core/driver.hpp"
 
-#include <algorithm>
-#include <optional>
-
 #include "analysis/ssa_verify.hpp"
 #include "guard/budget.hpp"
 #include "ir/verifier.hpp"
@@ -45,42 +42,19 @@ Loopapalooza::Loopapalooza(const ir::Module &mod) : mod_(mod)
 std::vector<rt::ProgramReport>
 Loopapalooza::run(const std::vector<rt::LPConfig> &cfgs, bool oracle) const
 {
-    const trace::Trace &t = trace();
-    const bool live = t.truncated;
-    if (live)
-        LP_LOG_WARN("trace of %s outgrew the trace byte budget; "
-                    "evaluating %zu configuration(s) from a live run",
-                    mod_.name().c_str(), cfgs.size());
     LP_LOG_DEBUG("evaluating %s under %zu configuration(s)%s",
                  mod_.name().c_str(), cfgs.size(),
                  oracle ? " (oracle attached)" : "");
-
-    std::vector<rt::ProgramReport> reports;
-    reports.reserve(cfgs.size());
-    for (std::size_t lo = 0; lo < cfgs.size(); lo += rt::kMaxLanes) {
-        const std::vector<rt::LPConfig> pass(
-            cfgs.begin() + static_cast<std::ptrdiff_t>(lo),
-            cfgs.begin() + static_cast<std::ptrdiff_t>(std::min(
-                               lo + rt::kMaxLanes, cfgs.size())));
-        // One capture per pass: its watches and evidence depend only on
-        // the event stream, so every lane is judged from the same one.
-        std::optional<rt::OracleCapture> cap;
-        if (oracle)
-            cap.emplace();
-        if (live && obs::metricsOn())
-            obs::Registry::instance()
-                .counter("sweep.trace_fallbacks")
-                .add(1);
-        std::vector<rt::ProgramReport> reps =
-            rt::evaluate(*plan_, dispatch_, live ? nullptr : &t, pass,
-                         mod_.name(), cap ? &*cap : nullptr);
-        for (rt::ProgramReport &rep : reps) {
-            if (cap) {
-                lint::applyOracle(*cap, rep);
-                lint::applyVerdictOracle(staticVerdicts(), rep);
-            }
-            reports.push_back(std::move(rep));
-        }
+    std::vector<rt::OracleCapture> caps;
+    std::vector<rt::ProgramReport> reports =
+        rt::evaluate(*plan_, dispatch_, nullptr, cfgs, mod_.name(),
+                     oracle ? &caps : nullptr);
+    if (!oracle)
+        return reports;
+    const auto &verdicts = staticVerdicts();
+    for (std::size_t i = 0; i < reports.size(); ++i) {
+        lint::applyOracle(caps[i / rt::kMaxLanes], reports[i]);
+        lint::applyVerdictOracle(verdicts, reports[i]);
     }
     return reports;
 }
@@ -102,31 +76,8 @@ Loopapalooza::trace() const
     std::lock_guard<prof::TimedMutex> lock(traceMu_);
     if (trace_)
         return *trace_;
-    if (traceError_)
-        std::rethrow_exception(traceError_);
-    try {
-        trace_ = std::make_unique<trace::Trace>(rt::recordTrace(
-            mod_, dispatch_, guard::defaultBudget()));
-    }
-    catch (const Error &e) {
-        // A deterministic failure (trap, fuel, truncation, ...) would
-        // recur on every re-record, so cache it: later cells of this
-        // program fail fast with the same error.  Transient failures
-        // (wall-clock deadline on a loaded machine) stay uncached so a
-        // guardedRun retry records afresh.
-        if (!e.transient())
-            traceError_ = std::current_exception();
-        throw;
-    }
-    catch (...) {
-        traceError_ = std::current_exception();
-        throw;
-    }
-    if (trace_->truncated) {
-        // The partial payload can never be replayed; keep the header.
-        trace_->payload.clear();
-        trace_->payload.shrink_to_fit();
-    }
+    trace_ = std::make_unique<trace::Trace>(
+        rt::recordTrace(mod_, dispatch_, guard::defaultBudget()));
     LP_LOG_INFO("recorded %s: %llu events, %zu payload bytes, final "
                 "cost %llu",
                 mod_.name().c_str(),

@@ -5,14 +5,13 @@
  * Wraps the full pipeline of the paper:
  *   1. verify the module (structural + SSA);
  *   2. compile-time component: analyses + instrumentation plan;
- *   3. run-time component: record the program's event stream once and
- *      evaluate every requested configuration from it (rt/engine.hpp);
+ *   3. run-time component: one instrumented (interpreted) run feeds
+ *      every requested configuration's lane (rt/engine.hpp);
  *   4. report speedup, coverage, per-loop stats and the census.
  */
 
 #pragma once
 
-#include <exception>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -45,28 +44,28 @@ class Loopapalooza
      * Evaluate the program under every configuration of @p cfgs: the
      * one entry point of the limit study.
      *
-     * The first call (across all threads) records the program's event
-     * trace; every call then replays it through the lane engine, one
-     * pass per 64 configurations (rt::evaluate).  When the recording
-     * outgrew the trace byte budget (LP_BUDGET_TRACE_BYTES), each pass
-     * interprets the program instead, feeding the engine live; the
-     * reports are the same either way, and the sweep.trace_fallbacks
-     * counter counts those live passes.
+     * Each call interprets the program once and feeds the event
+     * stream live to one lane engine per 64 configurations
+     * (rt::evaluate), so a call costs one interpretation whatever the
+     * number of configurations.  The run budgets (guard::RunBudget)
+     * bound that run.
      *
      * @param oracle attach the static-vs-dynamic consistency oracle:
      *        every SCEV-claimed and tracked header phi is watched, the
-     *        evidence is judged by lp::lint, and each report's oracle
-     *        and static-verdict sections are filled in.
+     *        evidence is judged by lp::lint (each lane from its own
+     *        engine's capture), and each report's oracle and
+     *        static-verdict sections are filled in.
      *
      * Reports come back in @p cfgs order.  Thread-safe: run() only
-     * reads the module, the plan and the recorded trace, and builds all
-     * run state locally, so any number of lp::exec workers may call it
-     * concurrently on one driver.
+     * reads the module and the plan, and builds all run state locally,
+     * so any number of lp::exec workers may call it concurrently on one
+     * driver.
      */
     std::vector<rt::ProgramReport> run(const std::vector<rt::LPConfig> &cfgs,
                                        bool oracle = false) const;
 
-    /// @name Single-purpose forms of run(); perfbench/ compiles against them
+    /// @name Single-purpose forms of run() (live, like run() itself);
+    /// perfbench/ compiles against them
     /// @{
     rt::ProgramReport runReplay(const rt::LPConfig &cfg) const
     {
@@ -84,12 +83,11 @@ class Loopapalooza
     /// @}
 
     /**
-     * The recorded event trace, recording it on first use.  A truncated
-     * recording keeps its header (events, final cost, truncated flag)
-     * but drops its partial payload.  Recording failures that are
-     * deterministic (trap, fuel, ...) are cached and rethrown on every
-     * later call; transient ones (wall-clock deadline) are not, so a
-     * guardedRun retry re-records.
+     * The program's event trace, recorded on first use and kept for the
+     * driver's lifetime.  No run() uses it: it is the second event
+     * source tests replay (rt::evaluate) to check the live one, and
+     * the benchmark's traced pass times.  A failed recording throws
+     * and is retried by the next call.
      */
     const trace::Trace &trace() const;
 
@@ -123,7 +121,6 @@ class Loopapalooza
 
     mutable prof::TimedMutex traceMu_{"core.trace_record"};
     mutable std::unique_ptr<trace::Trace> trace_;
-    mutable std::exception_ptr traceError_;
 
     mutable prof::TimedMutex verdictMu_{"core.static_verdicts"};
     mutable std::unique_ptr<std::vector<analysis::LoopVerdictSummary>>

@@ -358,14 +358,12 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req)
 
     // Dispatch the owned cells, inside the profiled region.  Cells that
     // need no engine pass are settled first.  Every other cell is one
-    // lane of an engine pass over its program's event stream: each
-    // program's runnable cells become lane tasks, dispatched expensive
-    // first (LPT order, weighted by the program's recorded trace cost).
-    // lp::exec workers claim tasks dynamically, so ordering is what
-    // decides whether the costliest task straggles at the tail of the
-    // sweep and leaves the other workers idle.
+    // lane of an engine pass over its program's live event stream:
+    // each program's runnable cells become lane tasks, each costing one
+    // interpretation of the program, dispatched widest first (LPT
+    // order by lane count).  lp::exec workers claim tasks dynamically.
     auto dispatchCells = [&] {
-        std::vector<std::size_t> runnable;
+        std::map<const PreparedProgram *, std::vector<std::size_t>> byProg;
         for (std::size_t i : owned) {
             Cell &cell = cells[i];
             if (const char *status = settle(cell)) {
@@ -373,45 +371,13 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req)
                                          cell.config->label);
                 cellProf.setStatus(status);
             } else {
-                runnable.push_back(i);
+                byProg[cell.prepared].push_back(i);
             }
         }
 
-        // Record every program's trace up front, in parallel, and take
-        // its final cost as the LPT weight.  Recording would otherwise
-        // happen inside the first task of each program, serializing its
-        // sibling tasks on the recording mutex.  Each recording is a
-        // profiled unit of its own; failures are swallowed here — the
-        // program's tasks re-raise them, where quarantine policy
-        // applies.
-        std::map<const PreparedProgram *, std::vector<std::size_t>> byProg;
-        std::vector<const PreparedProgram *> uniq;
-        for (std::size_t i : runnable) {
-            auto &idxs = byProg[cells[i].prepared];
-            if (idxs.empty())
-                uniq.push_back(cells[i].prepared);
-            idxs.push_back(i);
-        }
-        std::vector<std::uint64_t> costs(uniq.size(), 0);
-        exec::parallelFor(uniq.size(), [&](std::size_t k) {
-            prof::TaskScope recordProf(uniq[k]->name(), uniq[k]->suite(),
-                                       "record");
-            try {
-                costs[k] = uniq[k]->driver().trace().finalCost;
-                recordProf.setInstructions(0, costs[k]);
-                recordProf.setStatus("ok");
-            }
-            catch (...) {
-            }
-        });
-        std::map<const PreparedProgram *, std::uint64_t> progCost;
-        for (std::size_t k = 0; k < uniq.size(); ++k)
-            progCost[uniq[k]] = costs[k];
-
-        // One task per program and 64-lane pass; fewer tasks than
-        // workers leaves cores idle, so split the heaviest >= 4-lane
-        // tasks until the pool is covered (each split costs one more
-        // pass over the trace, so never below 2 lanes per task).
+        // One task per program and 64-lane pass.  Tasks are not split
+        // to cover idle workers: a split costs one more interpretation,
+        // which measured slower than the lanes it spreads out.
         std::vector<LaneTask> tasks;
         for (auto &[prog, idxs] : byProg)
             for (std::size_t lo = 0; lo < idxs.size(); lo += rt::kMaxLanes)
@@ -420,33 +386,9 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req)
                      {idxs.begin() + static_cast<std::ptrdiff_t>(lo),
                       idxs.begin() + static_cast<std::ptrdiff_t>(std::min(
                                          lo + rt::kMaxLanes, idxs.size()))}});
-        auto weight = [&](const LaneTask &t) {
-            return std::max<std::uint64_t>(progCost.at(t.prog), 1) *
-                   t.idxs.size();
-        };
-        const std::size_t workers = exec::defaultJobs();
-        while (tasks.size() < workers) {
-            std::size_t best = tasks.size();
-            std::uint64_t bestW = 0;
-            for (std::size_t k = 0; k < tasks.size(); ++k)
-                if (tasks[k].idxs.size() >= 4 && weight(tasks[k]) > bestW) {
-                    best = k;
-                    bestW = weight(tasks[k]);
-                }
-            if (best == tasks.size())
-                break;
-            LaneTask &t = tasks[best];
-            const std::size_t half = t.idxs.size() / 2;
-            LaneTask tail{
-                t.prog,
-                {t.idxs.begin() + static_cast<std::ptrdiff_t>(half),
-                 t.idxs.end()}};
-            t.idxs.resize(half);
-            tasks.push_back(std::move(tail));
-        }
         std::stable_sort(tasks.begin(), tasks.end(),
-                         [&](const LaneTask &a, const LaneTask &b) {
-                             return weight(a) > weight(b);
+                         [](const LaneTask &a, const LaneTask &b) {
+                             return a.idxs.size() > b.idxs.size();
                          });
         exec::parallelFor(tasks.size(),
                           [&](std::size_t k) { runTask(tasks[k]); });

@@ -5,11 +5,11 @@
 #include <iostream>
 #include <sstream>
 
-#include "core/driver.hpp"
+#include "core/configs.hpp"
 #include "core/sweep.hpp"
 #include "exec/pool.hpp"
-#include "guard/budget.hpp"
 #include "guard/fault.hpp"
+#include "lint/oracle.hpp"
 #include "support/error.hpp"
 
 namespace lp::fuzz {
@@ -45,27 +45,20 @@ makePrograms(std::uint64_t seed, const GenOptions &gen)
 }
 
 /**
- * One sweep run collapsed to a comparable string: exit code plus the
- * JSON document, or the categorized error.  Every oracle compares two
- * of these, so a crash on either side shows up as a divergence (or,
- * if both sides crash identically, as the deterministic same outcome
- * — which is the correct verdict for e.g. an armed non-transient
- * fault).
+ * One run collapsed to a comparable string: what @p fn returns, or the
+ * categorized error.  Every oracle compares two of these, so a crash
+ * on either side shows up as a divergence (or, if both sides crash
+ * identically, as the deterministic same outcome — which is the
+ * correct verdict for e.g. an armed non-transient fault).
  */
+template <typename Fn>
 std::string
-sweepOutcome(const std::vector<core::BenchProgram> &progs,
-             const core::SweepRequest &req, const std::string &faultSite,
-             std::uint64_t faultNth)
+outcome(const std::string &faultSite, std::uint64_t faultNth, Fn &&fn)
 {
     if (!faultSite.empty())
         guard::setFault(faultSite, faultNth); // re-arm: resets counters
     try {
-        CoutSilencer quiet;
-        core::SweepResult res = core::runSweep(progs, req);
-        std::string out = "exit:" + std::to_string(res.exitCode) + "\n";
-        if (res.hasDocument)
-            out += res.document.dump();
-        return out;
+        return fn();
     }
     catch (const Error &e) {
         return std::string("error:") + e.codeName() + ":" + e.what();
@@ -73,6 +66,36 @@ sweepOutcome(const std::vector<core::BenchProgram> &progs,
     catch (const std::exception &e) {
         return std::string("exception:") + e.what();
     }
+}
+
+/** One sweep's outcome: exit code plus the JSON document. */
+std::string
+sweepOutcome(const std::vector<core::BenchProgram> &progs,
+             const core::SweepRequest &req, const std::string &faultSite,
+             std::uint64_t faultNth)
+{
+    return outcome(faultSite, faultNth, [&] {
+        CoutSilencer quiet;
+        core::SweepResult res = core::runSweep(progs, req);
+        std::string out = "exit:" + std::to_string(res.exitCode) + "\n";
+        if (res.hasDocument)
+            out += res.document.dump();
+        return out;
+    });
+}
+
+/** One evaluation's outcome: every report's JSON, one per line. */
+template <typename Eval>
+std::string
+reportsOutcome(const std::string &faultSite, std::uint64_t faultNth,
+               Eval &&eval)
+{
+    return outcome(faultSite, faultNth, [&] {
+        std::string out;
+        for (const rt::ProgramReport &rep : eval())
+            out += rep.toJson(/*withObsSnapshot=*/false).dump() + "\n";
+        return out;
+    });
 }
 
 /** "byte 123: ...lhs window... != ...rhs window..." */
@@ -123,6 +146,31 @@ removeSweepFiles(const std::string &ckPath, unsigned shards)
 
 } // namespace
 
+std::vector<rt::ProgramReport>
+replayReports(const core::Loopapalooza &lp,
+              const std::vector<rt::LPConfig> &cfgs, bool oracle)
+{
+    const trace::Trace &t = lp.trace();
+    std::vector<rt::ProgramReport> reports;
+    for (std::size_t lo = 0; lo < cfgs.size(); lo += rt::kMaxLanes) {
+        const std::vector<rt::LPConfig> chunk(
+            cfgs.begin() + static_cast<std::ptrdiff_t>(lo),
+            cfgs.begin() + static_cast<std::ptrdiff_t>(
+                               std::min(lo + rt::kMaxLanes, cfgs.size())));
+        std::vector<rt::OracleCapture> caps;
+        for (rt::ProgramReport &rep :
+             rt::evaluate(lp.plan(), lp.dispatchTable(), &t, chunk,
+                          lp.module().name(), oracle ? &caps : nullptr)) {
+            if (oracle) {
+                lint::applyOracle(caps.front(), rep);
+                lint::applyVerdictOracle(lp.staticVerdicts(), rep);
+            }
+            reports.push_back(std::move(rep));
+        }
+    }
+    return reports;
+}
+
 std::string
 reproLineFor(std::uint64_t seed)
 {
@@ -157,7 +205,7 @@ runDifferential(std::uint64_t seed, const DiffOptions &opts)
 
     const bool faulted = !opts.faultSite.empty();
     const bool transientFault =
-        opts.faultSite == "io" || opts.faultSite == "replay";
+        opts.faultSite == "io" || opts.faultSite == "engine";
     if (faulted && !transientFault) {
         // Non-transient faults kill cells at a process-wide nth hit
         // whose placement is only deterministic serially: run the
@@ -177,30 +225,36 @@ runDifferential(std::uint64_t seed, const DiffOptions &opts)
 
     exec::setJobsOverride(1);
 
-    // Pair 1: live-fed vs trace-fed engine.  A one-byte trace budget
-    // truncates every recording, so that side evaluates each program
-    // from a live interpreter run instead of replaying its trace.
-    core::SweepRequest replay = base;
-    std::string replayOut =
-        sweepOutcome(progs, replay, opts.faultSite, opts.faultNth);
-    {
-        const guard::RunBudget saved = guard::defaultBudget();
-        guard::RunBudget tiny = saved;
-        tiny.maxTraceBytes = 1;
-        guard::setBudgetOverride(tiny);
-        std::string liveOut =
-            sweepOutcome(progs, replay, opts.faultSite, opts.faultNth);
-        guard::setBudgetOverride(saved);
+    // Pair 1: one live interpretation fanned out to every lane engine
+    // vs the recorded trace replayed one engine at a time.  The 72
+    // Table II configurations need two engines, so the live side feeds
+    // both from one run.
+    try {
+        auto mod = generateProgram(seed, opts.gen);
+        core::Loopapalooza lp(*mod);
+        const std::vector<rt::LPConfig> grid = core::tableTwoConfigs();
+        std::string liveOut = reportsOutcome(
+            opts.faultSite, opts.faultNth, [&] { return lp.run(grid); });
+        std::string replayOut =
+            reportsOutcome(opts.faultSite, opts.faultNth,
+                           [&] { return replayReports(lp, grid); });
         comparePair(ctx, "interp-vs-replay", liveOut, replayOut);
     }
+    catch (const std::exception &e) {
+        failures.push_back({seed, "interp-vs-replay",
+                            std::string("crashed: ") + e.what(),
+                            reproLineFor(seed)});
+    }
 
-    // Pair 2: one worker vs many.  The jobs-1 side is the trace-fed
-    // run above; rerun with the override raised.
+    // Pair 2: one worker vs many.  The jobs-1 side also serves as the
+    // reference of the checkpoint-backed pairs below.
+    const std::string serialOut =
+        sweepOutcome(progs, base, opts.faultSite, opts.faultNth);
     exec::setJobsOverride(opts.jobsN);
     std::string jobsNOut =
-        sweepOutcome(progs, replay, opts.faultSite, opts.faultNth);
+        sweepOutcome(progs, base, opts.faultSite, opts.faultNth);
     exec::setJobsOverride(1);
-    comparePair(ctx, "jobs1-vs-jobsN", replayOut, jobsNOut);
+    comparePair(ctx, "jobs1-vs-jobsN", serialOut, jobsNOut);
 
     // Scratch for the checkpoint-backed pairs.
     fs::path scratch = opts.scratchDir.empty()
@@ -229,7 +283,7 @@ runDifferential(std::uint64_t seed, const DiffOptions &opts)
         merge.merge = true;
         std::string mergedOut =
             sweepOutcome(progs, merge, opts.faultSite, opts.faultNth);
-        comparePair(ctx, "sharded-vs-unsharded", replayOut, mergedOut);
+        comparePair(ctx, "sharded-vs-unsharded", serialOut, mergedOut);
         removeSweepFiles(ck, opts.shards);
     }
 
@@ -253,7 +307,7 @@ runDifferential(std::uint64_t seed, const DiffOptions &opts)
         resume.resume = true;
         std::string resumedOut =
             sweepOutcome(progs, resume, opts.faultSite, opts.faultNth);
-        comparePair(ctx, "resume-vs-straight", replayOut, resumedOut);
+        comparePair(ctx, "resume-vs-straight", serialOut, resumedOut);
         removeSweepFiles(ck, 0);
     }
 

@@ -3,8 +3,9 @@
  * Differential oracles (`lp::fuzz`).
  *
  * The framework promises that one program produces byte-identical
- * reports whichever way it is driven: the engine fed live by the
- * interpreter vs fed from the recorded trace, one worker vs many,
+ * reports whichever way it is driven: one live interpretation fanned
+ * out to every lane engine vs a recorded trace replayed one engine at
+ * a time, one worker vs many,
  * sharded-and-merged vs unsharded, killed-and-resumed vs
  * straight-through — and that lint's static classification agrees
  * with the dynamic oracle.  Each generated program is pushed
@@ -12,7 +13,7 @@
  * the reproducing seed and the exact CLI line to replay it.
  *
  * Fault-schedule composition (`lp_fuzz --fault-schedule site:nth`):
- * transient sites (io, replay) are healed by retry, so byte-identity
+ * transient sites (io, engine) are healed by retry, so byte-identity
  * must survive them — the pairs run
  * unchanged with the fault re-armed before each side.  Non-transient
  * sites kill cells outright at a process-wide nth hit, whose placement
@@ -27,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "core/driver.hpp"
 #include "fuzz/generator.hpp"
 
 namespace lp::fuzz {
@@ -63,6 +65,17 @@ struct DiffOptions
  */
 std::vector<DiffFailure> runDifferential(std::uint64_t seed,
                                          const DiffOptions &opts = {});
+
+/**
+ * The replayed side of the interp-vs-replay pair: @p lp's recorded
+ * trace (Loopapalooza::trace) replayed by rt::evaluate in <= 64-lane
+ * chunks, one engine per chunk, with one capture per chunk judged as
+ * Loopapalooza::run judges its own when @p oracle is set.  It must
+ * equal lp.run(cfgs, oracle) byte for byte.
+ */
+std::vector<rt::ProgramReport>
+replayReports(const core::Loopapalooza &lp,
+              const std::vector<rt::LPConfig> &cfgs, bool oracle = false);
 
 /** The one-command repro line every failure report carries. */
 std::string reproLineFor(std::uint64_t seed);

@@ -28,7 +28,7 @@ constexpr SiteInfo kSites[] = {
     {"verify", ErrorCode::Verify},
     {"interp", ErrorCode::Trap},
     {"io", ErrorCode::Io},
-    {"replay", ErrorCode::Io},
+    {"engine", ErrorCode::Io},
 };
 
 std::mutex g_mu;

@@ -15,7 +15,7 @@
  *   verify   ir::verifyModuleOrDie entry    VerifyError
  *   interp   interp::Machine::run entry     InterpreterTrap
  *   io       guard::Checkpoint::record      IoError
- *   replay   rt::evaluate (trace replay)    IoError
+ *   engine   rt::evaluate, per lane engine  IoError
  *
  * A tripped fault disarms nothing: the counter simply moves past nth,
  * so a *retry* of the failed unit succeeds — which is exactly how the

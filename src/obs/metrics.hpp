@@ -6,7 +6,7 @@
  * guard each update with metricsOn(), which inlines to a single relaxed
  * atomic-bool test — with metrics disabled the whole update is one
  * well-predicted branch.  Hot loops keep their own plain tallies and
- * publish them once per unit of work (the lane engine does so once per
+ * publish them once per unit of work (each lane engine does so once per
  * pass), so no per-event code touches the registry.
  *
  * Thread-safety (see docs/observability.md): a Counter is a
@@ -22,14 +22,15 @@
  *
  * Metric name catalog (see docs/observability.md):
  *   interp.instructions          dynamic IR instructions executed
- *   interp.runs                  completed Machine::run() calls
+ *   interp.runs                  completed Machine::run() calls (one per
+ *                                Loopapalooza::run, whatever its lanes)
  *   plan.loops_analyzed          static loops planned by the compile-time side
  *   engine.mem_events            load/store events applied, once per event
+ *                                (not once per engine of a fanned-out run)
  *   engine.loop_instances        dynamic loop instances opened, once each
  *   engine.lane_conflicts        cross-iteration conflicts, per lane
  *   engine.lane_squashes.<model> speculative squashes (pdoall/doall), per lane
  *   engine.loop_reports          per-loop reports emitted, per lane
- *   sweep.trace_fallbacks        engine passes fed live (trace over budget)
  */
 
 #pragma once

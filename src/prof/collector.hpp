@@ -12,7 +12,7 @@
  *  - lock-site contention, recorded by every prof::TimedMutex in the
  *    process (timed_mutex.hpp) — the collector only snapshots it;
  *  - sweep-cell records: one structured record per (program,
- *    configuration) cell — and per program recording — with its worker
+ *    configuration) cell with its worker
  *    lane, wall time, instruction count, queue-wait, lock-wait,
  *    attempts and status; a lane task's cells share its wall time
  *    (TaskScope).  In json mode each record is also streamed to

@@ -5,9 +5,10 @@
  * Every configuration of a program sees the *same* dynamic event
  * stream; the only per-configuration differences are which loops a
  * config deems eligible and how the execution model folds conflicts
- * into costs.  LaneEngine exploits that: it consumes one stream (from
- * trace/batch.hpp's replayDispatch, or live from the interpreter via
- * LiveFeed) and maintains the shared dynamic structure — frame stack,
+ * into costs.  LaneEngine exploits that: it consumes one stream (live
+ * from the interpreter via LiveFeed, which fans one run out to every
+ * engine of the pass, or from trace/batch.hpp's replayDispatch) and
+ * maintains the shared dynamic structure — frame stack,
  * loop-instance stack, iteration counters, register-def timestamps,
  * one shadow write-map per instance, oracle evidence — exactly once,
  * while the per-lane model state (savings, slowest-iteration
@@ -316,9 +317,13 @@ class LaneEngine
     /**
      * Build every lane's report; call once after the stream ended.
      * @param serialCost the run's final clock
+     * @param publishShared count the stream's own events (load/store
+     *        events, loop instances) in the metrics; set for one engine
+     *        per stream, so a fanned-out stream counts them once
      */
     std::vector<ProgramReport>
-    finish(const std::string &name, std::uint64_t serialCost)
+    finish(const std::string &name, std::uint64_t serialCost,
+           bool publishShared)
     {
         panicIf(frameDepth_ != 0, "engine finished with live frames");
 
@@ -341,7 +346,7 @@ class LaneEngine
         for (std::size_t l = 0; l < L_; ++l)
             out.push_back(laneReport(l, name, serialCost));
         if (obs::metricsOn())
-            publishTally(out);
+            publishTally(out, publishShared);
         return out;
     }
 
@@ -353,10 +358,11 @@ class LaneEngine
      * memConflicts, and a PDOALL lane's squashes are its conflicted
      * iterations.  A squash counter exists for each speculative model
      * with a lane in the pass; HELIX is non-speculative, so it has
-     * none.
+     * none.  The stream's own events (@p shared) are counted by one
+     * engine per stream.
      */
     void
-    publishTally(const std::vector<ProgramReport> &out) const
+    publishTally(const std::vector<ProgramReport> &out, bool shared) const
     {
         std::uint64_t loopInstances = 0;
         std::uint64_t laneConflicts = tally_.laneRegConflicts;
@@ -373,8 +379,10 @@ class LaneEngine
             loopReports += rep.loops.size();
 
         obs::Registry &reg = obs::Registry::instance();
-        reg.counter("engine.mem_events").add(tally_.memEvents);
-        reg.counter("engine.loop_instances").add(loopInstances);
+        if (shared) {
+            reg.counter("engine.mem_events").add(tally_.memEvents);
+            reg.counter("engine.loop_instances").add(loopInstances);
+        }
         reg.counter("engine.lane_conflicts").add(laneConflicts);
         if (pdoallMask_)
             reg.counter("engine.lane_squashes.pdoall").add(pdoallSquashes);
@@ -1035,16 +1043,18 @@ class LaneEngine
 };
 
 /**
- * The live event source: an interpreter sink that hands the engine the
- * samples trace::replayDispatch would have reconstructed — block id,
- * the clock before and after the block's charge, the stack pointer,
- * and the precise clock at each load and store.
+ * The live event source: an interpreter sink that hands every engine
+ * of the pass the samples trace::replayDispatch would have
+ * reconstructed — block id, the clock before and after the block's
+ * charge, the stack pointer, and the precise clock at each load and
+ * store.  One interpretation thus feeds any number of engines.
  */
 class LiveFeed : public interp::ExecListener
 {
   public:
-    LiveFeed(LaneEngine &engine, const trace::BatchDispatchTable &table)
-        : engine_(engine), table_(table)
+    LiveFeed(const std::vector<std::unique_ptr<LaneEngine>> &engines,
+             const trace::BatchDispatchTable &table)
+        : engines_(engines), table_(table)
     {}
 
     void attach(const interp::Machine &m) { machine_ = &m; }
@@ -1052,13 +1062,16 @@ class LiveFeed : public interp::ExecListener
     void
     onFunctionEnter(const ir::Function *fn) override
     {
-        engine_.onFuncEnter(fn);
+        for (const auto &e : engines_)
+            e->onFuncEnter(fn);
     }
 
     void
     onFunctionExit(const ir::Function *) override
     {
-        engine_.onFuncExit(machine_->cost());
+        const std::uint64_t now = machine_->cost();
+        for (const auto &e : engines_)
+            e->onFuncExit(now);
     }
 
     void
@@ -1068,33 +1081,39 @@ class LiveFeed : public interp::ExecListener
         const trace::BatchDispatchTable::BlockInfo &bi = table_.blocks[id];
         inHeader_ = bi.headerOrdinal >= 0;
         const std::uint64_t now = machine_->cost();
-        engine_.onBlockEnter(id, bi, now - bi.size, now,
-                             machine_->stackPointer());
+        const std::uint64_t sp = machine_->stackPointer();
+        for (const auto &e : engines_)
+            e->onBlockEnter(id, bi, now - bi.size, now, sp);
     }
 
     void
     onPhiResolved(const Instruction *phi, std::uint64_t bits) override
     {
         // Phis resolve at the top of the block just entered; like the
-        // Recorder, only loop headers' phis reach the engine.
+        // Recorder, only loop headers' phis reach the engines.
         if (inHeader_)
-            engine_.onPhi(phi, bits);
+            for (const auto &e : engines_)
+                e->onPhi(phi, bits);
     }
 
     void
     onLoad(const Instruction *instr, std::uint64_t addr) override
     {
-        engine_.onLoad(instr, addr, machine_->preciseCost());
+        const std::uint64_t now = machine_->preciseCost();
+        for (const auto &e : engines_)
+            e->onLoad(instr, addr, now);
     }
 
     void
     onStore(const Instruction *instr, std::uint64_t addr) override
     {
-        engine_.onStore(instr, addr, machine_->preciseCost());
+        const std::uint64_t now = machine_->preciseCost();
+        for (const auto &e : engines_)
+            e->onStore(instr, addr, now);
     }
 
   private:
-    LaneEngine &engine_;
+    const std::vector<std::unique_ptr<LaneEngine>> &engines_;
     const trace::BatchDispatchTable &table_;
     const interp::Machine *machine_ = nullptr;
     bool inHeader_ = false;
@@ -1138,7 +1157,7 @@ recordTrace(const ir::Module &mod, const trace::BatchDispatchTable &table,
             const guard::RunBudget &budget)
 {
     prof::ScopedPhase phase("record");
-    trace::Recorder rec(table, budget.maxTraceBytes);
+    trace::Recorder rec(table);
     interp::Machine machine(mod, nullptr);
     machine.setBudget(budget);
     machine.setRecorder(&rec);
@@ -1150,44 +1169,49 @@ recordTrace(const ir::Module &mod, const trace::BatchDispatchTable &table,
 std::vector<ProgramReport>
 evaluate(const ModulePlan &plan, const trace::BatchDispatchTable &table,
          const trace::Trace *t, const std::vector<LPConfig> &cfgs,
-         const std::string &name, OracleCapture *oracle)
+         const std::string &name, std::vector<OracleCapture> *oracles)
 {
     if (cfgs.empty())
         return {};
-    if (t) {
-        if (t->truncated)
-            throw IoError("trace of " + name +
-                          " is truncated (recording hit the trace byte "
-                          "budget); raise LP_BUDGET_TRACE_BYTES");
-        if (t->numFunctions != table.functions.size() ||
-            t->numBlocks != table.blocks.size())
-            throw IoError(
-                "trace of " + name +
-                " does not match the module (trace: " +
-                std::to_string(t->numFunctions) + " functions / " +
-                std::to_string(t->numBlocks) + " blocks, module: " +
-                std::to_string(table.functions.size()) + " / " +
-                std::to_string(table.blocks.size()) + ")");
-        guard::faultPoint("replay");
-    }
+    if (t && (t->numFunctions != table.functions.size() ||
+              t->numBlocks != table.blocks.size()))
+        throw IoError("trace of " + name +
+                      " does not match the module (trace: " +
+                      std::to_string(t->numFunctions) + " functions / " +
+                      std::to_string(t->numBlocks) + " blocks, module: " +
+                      std::to_string(table.functions.size()) + " / " +
+                      std::to_string(table.blocks.size()) + ")");
 
-    std::unique_ptr<LaneEngine> engine;
+    const std::size_t numEngines = (cfgs.size() + kMaxLanes - 1) / kMaxLanes;
+    if (oracles && oracles->size() < numEngines)
+        oracles->resize(numEngines); // before any engine holds a capture
+    std::vector<std::unique_ptr<LaneEngine>> engines;
     {
         prof::ScopedPhase phase("plan");
-        engine = std::make_unique<LaneEngine>(plan, table, cfgs, oracle);
+        for (std::size_t k = 0; k < numEngines; ++k) {
+            guard::faultPoint("engine");
+            const auto lo = static_cast<std::ptrdiff_t>(k * kMaxLanes);
+            const auto hi = static_cast<std::ptrdiff_t>(
+                std::min((k + 1) * kMaxLanes, cfgs.size()));
+            engines.push_back(std::make_unique<LaneEngine>(
+                plan, table,
+                std::vector<LPConfig>(cfgs.begin() + lo, cfgs.begin() + hi),
+                oracles ? &(*oracles)[k] : nullptr));
+        }
     }
     std::uint64_t finalCost = 0;
     if (t) {
+        // Test and benchmark source: one decode of the trace per engine.
         prof::ScopedPhase phase("replay_batch");
-        trace::replayDispatch(table, *t, *engine);
+        for (const auto &e : engines)
+            trace::replayDispatch(table, *t, *e);
         finalCost = t->finalCost;
         // Every lane advanced by the whole clock.
-        const std::uint64_t laneInstructions =
-            finalCost * static_cast<std::uint64_t>(cfgs.size());
-        phase.addInstructions(laneInstructions);
+        phase.addInstructions(finalCost *
+                              static_cast<std::uint64_t>(cfgs.size()));
     } else {
         prof::ScopedPhase phase("interpret");
-        LiveFeed feed(*engine, table);
+        LiveFeed feed(engines, table);
         interp::Machine machine(plan.module(), &feed);
         feed.attach(machine);
         machine.run();
@@ -1196,10 +1220,15 @@ evaluate(const ModulePlan &plan, const trace::BatchDispatchTable &table,
     }
 
     prof::ScopedPhase phase("report");
-    std::vector<ProgramReport> reports = engine->finish(name, finalCost);
-    LP_LOG_INFO("%s: %zu configuration lane(s) from one %s pass, final "
-                "cost %llu",
-                name.c_str(), cfgs.size(), t ? "replayed" : "live",
+    std::vector<ProgramReport> reports;
+    reports.reserve(cfgs.size());
+    for (std::size_t k = 0; k < numEngines; ++k)
+        for (ProgramReport &rep : engines[k]->finish(name, finalCost, k == 0))
+            reports.push_back(std::move(rep));
+    LP_LOG_INFO("%s: %zu configuration lane(s) in %zu engine(s) from one "
+                "%s stream, final cost %llu",
+                name.c_str(), cfgs.size(), numEngines,
+                t ? "replayed" : "live",
                 static_cast<unsigned long long>(finalCost));
     return reports;
 }

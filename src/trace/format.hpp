@@ -4,12 +4,14 @@
  *
  * The paper's method is "instrument once, run once, compute every
  * model's speedup from the dynamic event stream" (Section III).  This
- * subsystem makes that literal: one recording run captures the exact
+ * subsystem writes that stream down: one recording run captures the exact
  * event stream the run-time component consumes — block entries, header
  * phi values, load/store granules, call sites and function entry/exit —
- * as a compact append-only byte stream, and
- * the limit-study engine evaluates every configuration of the program
- * from those bytes instead of re-interpreting it.
+ * as a compact append-only byte stream that the limit-study engine can
+ * replay instead of re-interpreting the program.  Sweeps feed the
+ * engine live and record nothing; a recorded trace serves tests (a
+ * second event source to compare the live one against) and the
+ * benchmark's traced pass.
  *
  * Encoding (payload): one tag byte per event (EventKind), then varint
  * operands.  Spatially local operands are delta-encoded against the
@@ -34,8 +36,7 @@
  *
  * A Trace carries the payload plus what replay checks it against: the
  * event count, the final dynamic-instruction cost, a module
- * fingerprint (function/block counts) and a truncated flag (the
- * recording hit its byte budget).  Traces live in memory only, for the
+ * fingerprint (function/block counts).  Traces live in memory only, for the
  * lifetime of the driver that recorded them.  Malformed payloads —
  * unknown tags, bytes missing mid-event, out-of-range ids, a replayed
  * clock that disagrees with the recording — throw lp::IoError (LP_IO).
@@ -81,8 +82,6 @@ struct Trace
     std::uint64_t finalCost = 0;       ///< Machine::cost() at run end
     std::uint32_t numFunctions = 0;    ///< module fingerprint
     std::uint32_t numBlocks = 0;       ///< module fingerprint
-    /** Recording stopped early: the byte budget was exhausted. */
-    bool truncated = false;
 
     bool operator==(const Trace &o) const = default;
 };

@@ -4,19 +4,13 @@
 
 namespace lp::trace {
 
-Recorder::Recorder(const BatchDispatchTable &table, std::uint64_t maxBytes)
-    : table_(table), maxBytes_(maxBytes)
-{}
+Recorder::Recorder(const BatchDispatchTable &table) : table_(table) {}
 
 void
 Recorder::emit(const Event &e)
 {
-    if (truncated_)
-        return;
     w_.event(e);
     ++events_;
-    if (maxBytes_ != 0 && w_.size() > maxBytes_)
-        truncated_ = true;
 }
 
 void
@@ -81,7 +75,6 @@ Recorder::finish(std::uint64_t finalCost)
     t.finalCost = finalCost;
     t.numFunctions = static_cast<std::uint32_t>(table_.functions.size());
     t.numBlocks = static_cast<std::uint32_t>(table_.blocks.size());
-    t.truncated = truncated_;
     return t;
 }
 

@@ -20,11 +20,9 @@
  * external calls only (they carry cost; internal calls contribute
  * through their callee's block stream).
  *
- * Budget.  The stream is bounded by a byte cap (see
- * guard::RunBudget::maxTraceBytes).  On overflow the Recorder stops
- * appending and marks the trace truncated; the driver then drops the
- * partial payload and evaluates the program from a live run instead
- * (core::Loopapalooza::run).
+ * Recording has no production user: a sweep feeds its engines live
+ * (rt/engine.hpp).  Tests and the benchmark's traced pass record a
+ * program to replay it or to time its parts.
  */
 
 #pragma once
@@ -43,9 +41,8 @@ class Recorder
     /**
      * @param table the program's dispatch table: the module fingerprint
      *        and the loop-header flags (BlockInfo::headerOrdinal)
-     * @param maxBytes payload byte cap; 0 = unbounded
      */
-    Recorder(const BatchDispatchTable &table, std::uint64_t maxBytes);
+    explicit Recorder(const BatchDispatchTable &table);
 
     /// @name Event feed (one call per interpreter call-back).
     /// @p ip is the event's instruction index within its block.
@@ -59,9 +56,6 @@ class Recorder
     void callSite(const ir::Instruction *instr, std::uint64_t ip);
     /// @}
 
-    /** True once the byte cap was hit (the stream is unusable). */
-    bool truncated() const { return truncated_; }
-
     /** Finalize: @p finalCost is Machine::cost() after run() returned. */
     Trace finish(std::uint64_t finalCost);
 
@@ -69,11 +63,9 @@ class Recorder
     void emit(const Event &e);
 
     const BatchDispatchTable &table_;
-    std::uint64_t maxBytes_;
 
     PayloadWriter w_;
     std::uint64_t events_ = 0;
-    bool truncated_ = false;
     bool finished_ = false;
     /** Phis resolve at the top of the block just entered. */
     bool curBlockIsHeader_ = false;

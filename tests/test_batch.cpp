@@ -4,9 +4,10 @@
  * ends).  tests/test_golden.cpp pins the reports themselves; this file
  * holds the properties around them: a configuration's report does not
  * depend on how many lanes share its pass or where a 64-lane chunk
- * boundary falls, a truncated recording is evaluated live with the
- * same reports, malformed inputs fail with LP_IO, the dispatch table
- * covers the module, and the engine's metrics count each event once.
+ * boundary falls, one interpretation feeds every engine of a run, the
+ * live stream reports what the recorded trace replays to, malformed
+ * inputs fail with LP_IO, the dispatch table covers the module, and the
+ * engine's metrics count each event once.
  */
 
 #include <gtest/gtest.h>
@@ -19,14 +20,13 @@
 #include "core/driver.hpp"
 #include "core/study.hpp"
 #include "core/sweep.hpp"
-#include "guard/budget.hpp"
+#include "fuzz/differential.hpp"
 #include "helpers.hpp"
 #include "interp/machine.hpp"
 #include "obs/metrics.hpp"
 #include "rt/engine.hpp"
 #include "support/error.hpp"
 #include "trace/batch.hpp"
-#include "trace/format.hpp"
 
 namespace lp {
 namespace {
@@ -34,13 +34,6 @@ namespace {
 using core::Loopapalooza;
 using rt::ExecModel;
 using rt::LPConfig;
-
-class BatchTest : public ::testing::Test
-{
-  protected:
-    void SetUp() override { guard::clearBudgetOverride(); }
-    void TearDown() override { guard::clearBudgetOverride(); }
-};
 
 /** Every fixture shape the trace tests exercise, plus the shuffled
  *  chase (unpredictable carried value — the predictor-heavy case). */
@@ -82,6 +75,18 @@ fullGrid()
     return grid;
 }
 
+/** 5 x fullGrid() = 90 lanes: two engines, the second starting
+ *  mid-repetition. */
+std::vector<LPConfig>
+twoEngineGrid()
+{
+    const std::vector<LPConfig> grid = fullGrid();
+    std::vector<LPConfig> many;
+    for (int rep = 0; rep < 5; ++rep)
+        many.insert(many.end(), grid.begin(), grid.end());
+    return many;
+}
+
 std::string
 dump(const rt::ProgramReport &rep)
 {
@@ -99,7 +104,7 @@ dumps(const std::vector<rt::ProgramReport> &reps)
 
 // ------------------------------------------- lane-count independence
 
-TEST_F(BatchTest, OneLanePassesMatchTheFullGridPass)
+TEST(BatchTest, OneLanePassesMatchTheFullGridPass)
 {
     const std::vector<LPConfig> grid = fullGrid();
     for (auto &[name, mod] : allShapes()) {
@@ -112,7 +117,7 @@ TEST_F(BatchTest, OneLanePassesMatchTheFullGridPass)
     }
 }
 
-TEST_F(BatchTest, ChunkBoundaryAt64LanesIsSeamless)
+TEST(BatchTest, ChunkBoundaryAt64LanesIsSeamless)
 {
     // 5 x 18 = 90 lanes: the second chunk starts mid-repetition, so any
     // cross-chunk state leak (shared predictor, shadow pool, epoch
@@ -120,9 +125,7 @@ TEST_F(BatchTest, ChunkBoundaryAt64LanesIsSeamless)
     auto mod = test::buildPointerChaseShuffled(64);
     Loopapalooza lp(*mod);
     const std::vector<LPConfig> grid = fullGrid();
-    std::vector<LPConfig> many;
-    for (int rep = 0; rep < 5; ++rep)
-        many.insert(many.end(), grid.begin(), grid.end());
+    const std::vector<LPConfig> many = twoEngineGrid();
     ASSERT_GT(many.size(), rt::kMaxLanes);
 
     const std::vector<std::string> batched = dumps(lp.run(many));
@@ -132,7 +135,7 @@ TEST_F(BatchTest, ChunkBoundaryAt64LanesIsSeamless)
         EXPECT_EQ(batched[i], single[i % grid.size()]) << "lane " << i;
 }
 
-TEST_F(BatchTest, EmptyConfigListYieldsNoReports)
+TEST(BatchTest, EmptyConfigListYieldsNoReports)
 {
     auto mod = test::buildSaxpy(16);
     Loopapalooza lp(*mod);
@@ -141,48 +144,71 @@ TEST_F(BatchTest, EmptyConfigListYieldsNoReports)
 
 // ----------------------------------------------------- live event feed
 
-TEST_F(BatchTest, TruncatedRecordingIsEvaluatedLiveWithTheSameReports)
+TEST(BatchTest, OneInterpretationFeedsEveryEngineOfARun)
 {
-    const std::vector<LPConfig> grid = fullGrid();
-    for (auto &[name, mod] : allShapes()) {
-        Loopapalooza replayed(*mod);
-        const std::vector<std::string> want =
-            dumps(replayed.run(grid, /*oracle=*/true));
+    auto mod = test::buildHistogram(64, 8);
+    const std::vector<LPConfig> grid = core::tableTwoConfigs();
+    ASSERT_EQ(grid.size(), 72u); // two engines
 
-        guard::RunBudget b = guard::defaultBudget();
-        b.maxTraceBytes = 64;
-        guard::setBudgetOverride(b);
-        Loopapalooza live(*mod);
-        ASSERT_TRUE(live.trace().truncated) << name;
-        // The partial payload is dropped once truncation is known.
-        EXPECT_TRUE(live.trace().payload.empty()) << name;
-        EXPECT_EQ(dumps(live.run(grid, /*oracle=*/true)), want) << name;
-        guard::clearBudgetOverride();
+    const bool saved = obs::metricsOn();
+    obs::setMetricsEnabled(true);
+    obs::Registry &reg = obs::Registry::instance();
+    // {interp.runs, engine.mem_events} of one run() over @p cfgs.
+    auto counts = [&](const std::vector<LPConfig> &cfgs, bool oracle) {
+        Loopapalooza lp(*mod);
+        reg.resetAll();
+        std::vector<std::string> reps = dumps(lp.run(cfgs, oracle));
+        EXPECT_EQ(reps.size(), cfgs.size());
+        return std::make_pair(reg.counter("interp.runs").value(),
+                              reg.counter("engine.mem_events").value());
+    };
+    const auto all = counts(grid, false);
+    const auto allOracle = counts(grid, true);
+    const auto one = counts({grid.front()}, false);
+    obs::setMetricsEnabled(saved);
+    reg.resetAll();
+
+    EXPECT_EQ(all.first, 1u);
+    EXPECT_EQ(allOracle.first, 1u);
+    // The stream's events are counted once, not once per engine.
+    EXPECT_GT(one.second, 0u);
+    EXPECT_EQ(all.second, one.second);
+    EXPECT_EQ(allOracle.second, one.second);
+
+    // The fanned-out reports are each configuration's own run's.
+    for (auto &[name, shape] : allShapes()) {
+        Loopapalooza lp(*shape);
+        for (bool oracle : {false, true}) {
+            const std::vector<std::string> fanned =
+                dumps(lp.run(grid, oracle));
+            ASSERT_EQ(fanned.size(), grid.size()) << name;
+            for (std::size_t i = 0; i < grid.size(); ++i)
+                EXPECT_EQ(fanned[i],
+                          dump(lp.run({grid[i]}, oracle).front()))
+                    << name << " lane " << i << " under " << grid[i].str()
+                    << (oracle ? " with the oracle" : "");
+        }
+    }
+}
+
+TEST(BatchTest, LiveRunsReportWhatTheRecordedTraceReplaysTo)
+{
+    // The live side fans one interpretation out to two engines; the
+    // replayed side decodes the recorded trace once per <= 64-lane
+    // chunk, with one oracle capture per chunk.
+    const std::vector<LPConfig> many = twoEngineGrid();
+    for (auto &[name, mod] : allShapes()) {
+        Loopapalooza lp(*mod);
+        for (bool oracle : {false, true})
+            EXPECT_EQ(dumps(lp.run(many, oracle)),
+                      dumps(fuzz::replayReports(lp, many, oracle)))
+                << name << (oracle ? " with the oracle" : "");
     }
 }
 
 // ------------------------------------------------------ error taxonomy
 
-TEST_F(BatchTest, EvaluateRejectsTruncatedTraces)
-{
-    guard::RunBudget b = guard::defaultBudget();
-    b.maxTraceBytes = 64;
-    guard::setBudgetOverride(b);
-
-    auto mod = test::buildSaxpy(64);
-    Loopapalooza lp(*mod);
-    ASSERT_TRUE(lp.trace().truncated);
-    try {
-        rt::evaluate(lp.plan(), lp.dispatchTable(), &lp.trace(),
-                     fullGrid(), "truncated");
-        FAIL() << "replaying a truncated trace must throw";
-    }
-    catch (const IoError &e) {
-        EXPECT_STREQ(e.codeName(), "LP_IO");
-    }
-}
-
-TEST_F(BatchTest, EvaluateRejectsAForeignTrace)
+TEST(BatchTest, EvaluateRejectsAForeignTrace)
 {
     auto saxpy = test::buildSaxpy(32);
     auto sum = test::buildSumReduction(32);
@@ -195,7 +221,7 @@ TEST_F(BatchTest, EvaluateRejectsAForeignTrace)
 
 // -------------------------------------------------- dispatch table shape
 
-TEST_F(BatchTest, DispatchTableCoversTheWholeModule)
+TEST(BatchTest, DispatchTableCoversTheWholeModule)
 {
     auto mod = test::buildHistogram(64, 8);
     Loopapalooza lp(*mod);
@@ -234,7 +260,7 @@ class MemEventCounter : public interp::ExecListener
     std::uint64_t n = 0;
 };
 
-TEST_F(BatchTest, EngineCountsEachEventOnceWhateverTheLaneCount)
+TEST(BatchTest, EngineCountsEachEventOnceWhateverTheLaneCount)
 {
     auto mod = test::buildHistogram(64, 8);
     MemEventCounter plain;
@@ -253,7 +279,6 @@ TEST_F(BatchTest, EngineCountsEachEventOnceWhateverTheLaneCount)
     // {engine.mem_events, engine.loop_instances} after one pass.
     auto counts = [&](const std::vector<LPConfig> &cfgs) {
         Loopapalooza lp(*mod);
-        (void)lp.trace(); // record before the counters are zeroed
         reg.resetAll();
         (void)lp.run(cfgs);
         return std::make_pair(reg.counter("engine.mem_events").value(),
@@ -272,31 +297,44 @@ TEST_F(BatchTest, EngineCountsEachEventOnceWhateverTheLaneCount)
 
 // ------------------------------------------- sweep-level event sources
 
-TEST_F(BatchTest, LiveFedSweepMatchesTheReplayedSweepByteForByte)
+TEST(BatchTest, SweepCellsMatchTheReplayedTraceByteForByte)
 {
-    auto sweepDoc = [&](bool live) {
-        std::vector<core::BenchProgram> progs;
-        progs.push_back(
-            {"saxpy", "unit", [] { return test::buildSaxpy(32); }});
-        progs.push_back(
-            {"hist", "unit", [] { return test::buildHistogram(48, 8); }});
-        progs.push_back({"chase", "unit",
-                         [] { return test::buildPointerChase(32); }});
-        if (live) {
-            guard::RunBudget b = guard::defaultBudget();
-            b.maxTraceBytes = 1;
-            guard::setBudgetOverride(b);
-        }
-        core::SweepRequest req;
-        req.suite = "unit";
-        req.wantJson = true;
+    std::vector<core::BenchProgram> progs;
+    progs.push_back({"saxpy", "unit", [] { return test::buildSaxpy(32); }});
+    progs.push_back(
+        {"hist", "unit", [] { return test::buildHistogram(48, 8); }});
+    progs.push_back(
+        {"chase", "unit", [] { return test::buildPointerChase(32); }});
+    core::SweepRequest req;
+    req.suite = "unit";
+    req.wantJson = true;
+    for (int lintMode : {0, 1}) {
+        req.lintMode = lintMode;
         core::SweepResult res = core::runSweep(progs, req);
-        guard::clearBudgetOverride();
-        EXPECT_EQ(res.exitCode, 0);
-        EXPECT_TRUE(res.hasDocument);
-        return res.document.dump(2);
-    };
-    EXPECT_EQ(sweepDoc(true), sweepDoc(false));
+        ASSERT_EQ(res.exitCode, 0);
+        ASSERT_TRUE(res.hasDocument);
+        const obs::Json &cells = res.document.at("reports");
+
+        // Sweep cells are configuration-major over the programs.
+        const std::vector<core::NamedConfig> &paper = core::paperConfigs();
+        std::vector<LPConfig> cfgs;
+        for (const core::NamedConfig &named : paper)
+            cfgs.push_back(named.config);
+        ASSERT_EQ(cells.size(), paper.size() * progs.size());
+        for (std::size_t p = 0; p < progs.size(); ++p) {
+            auto mod = progs[p].build();
+            Loopapalooza lp(*mod);
+            std::vector<rt::ProgramReport> want =
+                fuzz::replayReports(lp, cfgs, lintMode != 0);
+            for (std::size_t c = 0; c < cfgs.size(); ++c) {
+                want[c].program = progs[p].name; // as the sweep stamps it
+                EXPECT_EQ(cells.at(c * progs.size() + p).dump(),
+                          want[c].toJson(/*withObsSnapshot=*/false).dump())
+                    << progs[p].name << " under " << paper[c].label
+                    << " lint " << lintMode;
+            }
+        }
+    }
 }
 
 } // namespace

@@ -15,10 +15,11 @@
  * The digests were captured from the per-configuration tracker that
  * predates the single lane engine (one replay per cell), so this test
  * is what keeps the engine's reports identical to the model code it
- * replaced.  Every cell is recomputed here — the grid groups in two
- * 64-lane passes per program, the oracle group in one 14-lane pass
- * sharing one capture, once replayed and once fed live by the
- * interpreter; a mismatch names the cell and its fresh digest.
+ * replaced.  Every cell is recomputed here — the grid groups from one
+ * interpretation per program fanned out to two 64-lane engines, the
+ * oracle group in one 14-lane engine sharing one capture, once fed
+ * live and once replayed from the recorded trace; a mismatch names the
+ * cell and its fresh digest.
  */
 
 #include <gtest/gtest.h>
@@ -35,8 +36,8 @@
 #include "core/configs.hpp"
 #include "core/driver.hpp"
 #include "core/study.hpp"
+#include "fuzz/differential.hpp"
 #include "fuzz/generator.hpp"
-#include "guard/budget.hpp"
 #include "interp/stdlib.hpp"
 #include "ir/parser.hpp"
 #include "suites/registry.hpp"
@@ -45,7 +46,6 @@ namespace lp {
 namespace {
 
 namespace fs = std::filesystem;
-using rt::ExecModel;
 using rt::LPConfig;
 
 std::string
@@ -60,28 +60,6 @@ digest64(const std::string &bytes)
     std::snprintf(buf, sizeof buf, "%016llx",
                   static_cast<unsigned long long>(h));
     return buf;
-}
-
-/** The 72 valid Table II configurations (DOALL admits dep0 only). */
-std::vector<LPConfig>
-tableTwoGrid()
-{
-    std::vector<LPConfig> grid;
-    for (ExecModel m :
-         {ExecModel::DoAll, ExecModel::PartialDoAll, ExecModel::Helix})
-        for (int reduc = 0; reduc <= 1; ++reduc)
-            for (int dep = 0; dep <= 3; ++dep)
-                for (int fn = 0; fn <= 3; ++fn) {
-                    if (m == ExecModel::DoAll && dep != 0)
-                        continue;
-                    LPConfig c;
-                    c.model = m;
-                    c.reduc = reduc;
-                    c.dep = dep;
-                    c.fn = fn;
-                    grid.push_back(c);
-                }
-    return grid;
 }
 
 std::vector<LPConfig>
@@ -167,7 +145,7 @@ TEST(Golden, DigestFileIsPresent)
 
 TEST(Golden, SuiteProgramsAcrossTheTableTwoGrid)
 {
-    const std::vector<LPConfig> grid = tableTwoGrid();
+    const std::vector<LPConfig> grid = core::tableTwoConfigs();
     core::Study study(suites::allPrograms());
     ASSERT_EQ(study.programs().size(), 30u);
     std::size_t checked = 0;
@@ -187,28 +165,26 @@ TEST(Golden, SuiteProgramsWithTheOracleAcrossThePaperConfigs)
     EXPECT_EQ(checked, pinnedCells("oracle"));
 }
 
-TEST(Golden, SuiteProgramsFedLiveMatchTheSameDigests)
+TEST(Golden, SuiteProgramsReplayedMatchTheSameDigests)
 {
-    // A one-byte trace budget truncates every recording, so each pass
-    // interprets its program and feeds the engine live.
-    guard::RunBudget tiny = guard::defaultBudget();
-    tiny.maxTraceBytes = 1;
-    guard::setBudgetOverride(tiny);
+    // The second event source: each program's recorded trace, replayed
+    // with the oracle attached.
     const std::vector<LPConfig> cfgs = paperGrid();
     core::Study study(suites::allPrograms());
     std::size_t checked = 0;
     for (const auto &p : study.programs()) {
-        EXPECT_TRUE(p->driver().trace().truncated) << p->name();
-        checked += checkProgram("oracle", p->name(), 0, cfgs,
-                                p->run(cfgs, /*oracle=*/true));
+        std::vector<rt::ProgramReport> reps =
+            fuzz::replayReports(p->driver(), cfgs, /*oracle=*/true);
+        for (rt::ProgramReport &rep : reps)
+            rep.program = p->name(); // as PreparedProgram::run stamps it
+        checked += checkProgram("oracle", p->name(), 0, cfgs, reps);
     }
-    guard::clearBudgetOverride();
     EXPECT_EQ(checked, pinnedCells("oracle"));
 }
 
 TEST(Golden, RandomProgramsAcrossTheTableTwoGrid)
 {
-    const std::vector<LPConfig> grid = tableTwoGrid();
+    const std::vector<LPConfig> grid = core::tableTwoConfigs();
     std::size_t checked = 0;
     for (std::uint64_t seed : {1u, 7u, 23u, 51u, 94u}) {
         auto mod = fuzz::generateProgram(seed);
@@ -221,7 +197,7 @@ TEST(Golden, RandomProgramsAcrossTheTableTwoGrid)
 
 TEST(Golden, FuzzCorpusEntriesAcrossTheTableTwoGrid)
 {
-    const std::vector<LPConfig> grid = tableTwoGrid();
+    const std::vector<LPConfig> grid = core::tableTwoConfigs();
     const fs::path corpus =
         fs::path(LP_SOURCE_DIR) / "tests" / "fuzz_corpus";
     std::vector<fs::path> entries;

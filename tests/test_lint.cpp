@@ -440,17 +440,28 @@ cfg(const char *flags)
 /**
  * Evaluate one configuration with a caller-owned capture — pre-seeded
  * with forced claims, or inspected afterwards — and judge it the way
- * Loopapalooza::run judges its own.
+ * Loopapalooza::run judges its own.  The live run fills @p cap; a copy
+ * of the seeded capture judges the replayed trace, which must report
+ * the same.
  */
 ProgramReport
 runWithCapture(const Loopapalooza &lp, const LPConfig &c,
                rt::OracleCapture &cap)
 {
-    ProgramReport rep =
-        rt::evaluate(lp.plan(), lp.dispatchTable(), &lp.trace(), {c},
-                     lp.module().name(), &cap)
-            .front();
-    lint::applyOracle(cap, rep);
+    auto judged = [&](const trace::Trace *t, rt::OracleCapture &seeded) {
+        std::vector<rt::OracleCapture> caps{seeded};
+        ProgramReport rep =
+            rt::evaluate(lp.plan(), lp.dispatchTable(), t, {c},
+                         lp.module().name(), &caps)
+                .front();
+        lint::applyOracle(caps.front(), rep);
+        seeded = std::move(caps.front());
+        return rep;
+    };
+    rt::OracleCapture forReplay = cap;
+    ProgramReport rep = judged(nullptr, cap);
+    EXPECT_EQ(rep.toJson(false).dump(),
+              judged(&lp.trace(), forReplay).toJson(false).dump());
     return rep;
 }
 

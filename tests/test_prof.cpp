@@ -32,7 +32,6 @@
 #include "core/study.hpp"
 #include "core/sweep.hpp"
 #include "exec/pool.hpp"
-#include "guard/budget.hpp"
 #include "helpers.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -302,9 +301,8 @@ TEST_F(ProfSandbox, WorkerTimelinesHaveValidLanesAndUtilization)
     EXPECT_GT(regionWall, 0u);
     const obs::Json &lanes = workers.at("workers");
     ASSERT_GT(lanes.size(), 0u);
-    // A lane is a worker slot: the recordings and the lane tasks run on
-    // the same 4 slots, so a 4-job sweep shows at most 4 lanes (not one
-    // per thread started).
+    // A lane is a worker slot: the lane tasks run on the 4 slots, so a
+    // 4-job sweep shows at most 4 lanes (not one per thread started).
     EXPECT_LE(lanes.size(), 4u);
     std::set<std::uint64_t> seenLanes;
     std::uint64_t cellsTotal = 0;
@@ -385,8 +383,10 @@ TEST_F(ProfSandbox, ChromeTimelineHoldsPhaseAndCellSpansOnWorkerLanes)
             phases.insert(e.at("name").asString());
     }
     EXPECT_EQ(cats, (std::set<std::string>{"cell", "phase"}));
-    EXPECT_TRUE(phases.count("record"));
-    EXPECT_TRUE(phases.count("replay_batch"));
+    // A sweep's phases are its live passes; it records no trace.
+    EXPECT_TRUE(phases.count("interpret"));
+    EXPECT_TRUE(phases.count("report"));
+    EXPECT_FALSE(phases.count("record"));
     EXPECT_TRUE(sawMetrics);
     std::remove(path.c_str());
 }
@@ -500,43 +500,33 @@ TEST_F(ProfSandbox, ParallelSweepQueueWaitStaysWithinRegionWall)
             << "lane " << lanes.at(i).at("worker").asU64();
 }
 
-TEST_F(ProfSandbox, EpochsAttributeInterpretRecordAndReplayTime)
+TEST_F(ProfSandbox, SweepEpochsAreLiveInterpretationOnly)
 {
     prof::Collector &c = prof::Collector::instance();
     c.setEnabled(true);
-
-    // A sweep records each program once (record epochs) and replays
-    // the trace through the engine (replay_batch epochs)...
+    // A sweep feeds every engine pass from a live interpretation
+    // (interp epochs) and neither records nor replays a trace.
     sweepDoc(1);
-    // ...and a one-byte trace budget makes the engine's passes run
-    // live, which the interpreter attributes (interp epochs).
-    guard::RunBudget tiny = guard::defaultBudget();
-    tiny.maxTraceBytes = 1;
-    guard::setBudgetOverride(tiny);
-    sweepDoc(1);
-    guard::clearBudgetOverride();
     c.setEnabled(false);
 
     obs::Json workers = c.workersJson();
     const obs::Json &lanes = workers.at("workers");
-    bool sawInterp = false, sawRecord = false, sawReplay = false;
+    bool sawInterp = false;
     for (std::size_t i = 0; i < lanes.size(); ++i) {
         const obs::Json &ep = lanes.at(i).at("epochs");
         sawInterp |= ep.contains("interp");
-        sawRecord |= ep.contains("record");
-        sawReplay |= ep.contains("replay_batch");
+        EXPECT_FALSE(ep.contains("record"));
+        EXPECT_FALSE(ep.contains("replay_batch"));
         for (const std::string &kind : ep.keys())
             EXPECT_GT(ep.at(kind).at("instructions").asU64(), 0u);
     }
     EXPECT_TRUE(sawInterp);
-    EXPECT_TRUE(sawRecord);
-    EXPECT_TRUE(sawReplay);
 }
 
 TEST_F(ProfSandbox, SweepWorkerUtilizationIsTruthful)
 {
-    // The profiled units of a sweep are the recordings and the lane
-    // tasks that did the work, so a serial multi-program sweep keeps
+    // The profiled units of a sweep are the lane tasks that did the
+    // work, so a serial multi-program sweep keeps
     // its one worker busy nearly the whole region.  (When only the
     // per-lane bookkeeping sat inside the cell records, this read
     // ~1e-4.)
@@ -549,9 +539,9 @@ TEST_F(ProfSandbox, SweepWorkerUtilizationIsTruthful)
     const obs::Json &lanes = workers.at("workers");
     ASSERT_EQ(lanes.size(), 1u);
     EXPECT_GT(workers.at("utilization_mean").asDouble(), 0.5);
-    // One record per recording and one per sweep cell (4 programs x
-    // the 14 paper configurations).
-    EXPECT_EQ(c.cellCount(), 4u + 4u * 14u);
+    // One record per sweep cell (4 programs x the 14 paper
+    // configurations) and none for recordings: a sweep records none.
+    EXPECT_EQ(c.cellCount(), 4u * 14u);
 }
 
 // ---------------------------------------------------------- determinism

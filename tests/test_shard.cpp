@@ -24,7 +24,6 @@
 #include <gtest/gtest.h>
 
 #include "core/sweep.hpp"
-#include "guard/budget.hpp"
 #include "guard/checkpoint.hpp"
 #include "helpers.hpp"
 #include "support/error.hpp"
@@ -222,38 +221,6 @@ TEST(ShardSweep, MergedLintSweepMatchesUnshardedIncludingOracle)
     EXPECT_EQ(merged.document.dump(2), reference);
 
     cleanBase("lp_shard_lint.jsonl", 2);
-}
-
-TEST(ShardSweep, ShardedMergeMatchesALiveFedUnshardedSweep)
-{
-    // Cross-axis byte-identity: each shard below replays recorded
-    // traces, splitting its slice into lane tasks, while the reference
-    // sweep's one-byte trace budget makes every pass interpret its
-    // program live.  Sharding and the event source together must
-    // change nothing in the merged report.
-    std::string reference;
-    {
-        guard::RunBudget tiny = guard::defaultBudget();
-        tiny.maxTraceBytes = 1;
-        guard::setBudgetOverride(tiny);
-        core::SweepRequest req;
-        req.wantJson = true;
-        core::SweepResult res = core::runSweep(shardPrograms(), req);
-        guard::clearBudgetOverride();
-        EXPECT_EQ(res.exitCode, 0);
-        EXPECT_TRUE(res.hasDocument);
-        reference = res.document.dump(2);
-    }
-
-    const std::string base = cleanBase("lp_shard_live.jsonl", 3);
-    for (unsigned i = 1; i <= 3; ++i)
-        EXPECT_EQ(runShard(i, 3, base).exitCode, 0);
-    core::SweepResult merged = runMerge(3, base);
-    EXPECT_EQ(merged.exitCode, 0);
-    ASSERT_TRUE(merged.hasDocument);
-    EXPECT_EQ(merged.document.dump(2), reference);
-
-    cleanBase("lp_shard_live.jsonl", 3);
 }
 
 TEST(ShardSweep, InvalidShardRequestsAreConfigErrors)
