@@ -4,7 +4,7 @@
  *
  * Walks a seed range, generating a random loop-nest program per seed
  * and pushing it through every path pair the framework promises is
- * byte-identical (live fan-out vs replayed trace, 1 worker vs N,
+ * byte-identical (live vs replayed trace, 1 worker vs N,
  * sharded-merged vs unsharded, kill-and-resume vs straight-through)
  * plus the lint static-vs-dynamic oracles.
  *

@@ -45,16 +45,16 @@ Loopapalooza::run(const std::vector<rt::LPConfig> &cfgs, bool oracle) const
     LP_LOG_DEBUG("evaluating %s under %zu configuration(s)%s",
                  mod_.name().c_str(), cfgs.size(),
                  oracle ? " (oracle attached)" : "");
-    std::vector<rt::OracleCapture> caps;
+    rt::OracleCapture cap;
     std::vector<rt::ProgramReport> reports =
         rt::evaluate(*plan_, dispatch_, nullptr, cfgs, mod_.name(),
-                     oracle ? &caps : nullptr);
+                     oracle ? &cap : nullptr);
     if (!oracle)
         return reports;
     const auto &verdicts = staticVerdicts();
-    for (std::size_t i = 0; i < reports.size(); ++i) {
-        lint::applyOracle(caps[i / rt::kMaxLanes], reports[i]);
-        lint::applyVerdictOracle(verdicts, reports[i]);
+    for (rt::ProgramReport &rep : reports) {
+        lint::applyOracle(cap, rep);
+        lint::applyVerdictOracle(verdicts, rep);
     }
     return reports;
 }

@@ -45,15 +45,15 @@ class Loopapalooza
      * one entry point of the limit study.
      *
      * Each call interprets the program once and feeds the event
-     * stream live to one lane engine per 64 configurations
+     * stream live to one lane engine holding every configuration
      * (rt::evaluate), so a call costs one interpretation whatever the
      * number of configurations.  The run budgets (guard::RunBudget)
      * bound that run.
      *
      * @param oracle attach the static-vs-dynamic consistency oracle:
      *        every SCEV-claimed and tracked header phi is watched, the
-     *        evidence is judged by lp::lint (each lane from its own
-     *        engine's capture), and each report's oracle and
+     *        evidence (one capture for every lane) is judged by
+     *        lp::lint per lane, and each report's oracle and
      *        static-verdict sections are filled in.
      *
      * Reports come back in @p cfgs order.  Thread-safe: run() only

@@ -359,11 +359,11 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req)
     // Dispatch the owned cells, inside the profiled region.  Cells that
     // need no engine pass are settled first.  Every other cell is one
     // lane of an engine pass over its program's live event stream:
-    // each program's runnable cells become lane tasks, each costing one
-    // interpretation of the program, dispatched widest first (LPT
-    // order by lane count).  lp::exec workers claim tasks dynamically.
+    // each program's runnable cells become one lane task, costing one
+    // interpretation of the program.  lp::exec workers claim tasks
+    // dynamically.
     auto dispatchCells = [&] {
-        std::map<const PreparedProgram *, std::vector<std::size_t>> byProg;
+        std::vector<std::size_t> runnable;
         for (std::size_t i : owned) {
             Cell &cell = cells[i];
             if (const char *status = settle(cell)) {
@@ -371,25 +371,23 @@ runSweep(const std::vector<BenchProgram> &programs, const SweepRequest &req)
                                          cell.config->label);
                 cellProf.setStatus(status);
             } else {
-                byProg[cell.prepared].push_back(i);
+                runnable.push_back(i);
             }
         }
 
-        // One task per program and 64-lane pass.  Tasks are not split
-        // to cover idle workers: a split costs one more interpretation,
-        // which measured slower than the lanes it spreads out.
+        // One task per program, in the Study's program order.  Tasks
+        // are not split to cover idle workers: a split costs one more
+        // interpretation, which measured slower than the lanes it
+        // spreads out.
         std::vector<LaneTask> tasks;
-        for (auto &[prog, idxs] : byProg)
-            for (std::size_t lo = 0; lo < idxs.size(); lo += rt::kMaxLanes)
-                tasks.push_back(
-                    {prog,
-                     {idxs.begin() + static_cast<std::ptrdiff_t>(lo),
-                      idxs.begin() + static_cast<std::ptrdiff_t>(std::min(
-                                         lo + rt::kMaxLanes, idxs.size()))}});
-        std::stable_sort(tasks.begin(), tasks.end(),
-                         [](const LaneTask &a, const LaneTask &b) {
-                             return a.idxs.size() > b.idxs.size();
-                         });
+        for (const auto &p : study.programs()) {
+            LaneTask task{p.get(), {}};
+            for (std::size_t i : runnable)
+                if (cells[i].prepared == p.get())
+                    task.idxs.push_back(i);
+            if (!task.idxs.empty())
+                tasks.push_back(std::move(task));
+        }
         exec::parallelFor(tasks.size(),
                           [&](std::size_t k) { runTask(tasks[k]); });
     };

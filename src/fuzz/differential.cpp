@@ -150,24 +150,15 @@ std::vector<rt::ProgramReport>
 replayReports(const core::Loopapalooza &lp,
               const std::vector<rt::LPConfig> &cfgs, bool oracle)
 {
-    const trace::Trace &t = lp.trace();
-    std::vector<rt::ProgramReport> reports;
-    for (std::size_t lo = 0; lo < cfgs.size(); lo += rt::kMaxLanes) {
-        const std::vector<rt::LPConfig> chunk(
-            cfgs.begin() + static_cast<std::ptrdiff_t>(lo),
-            cfgs.begin() + static_cast<std::ptrdiff_t>(
-                               std::min(lo + rt::kMaxLanes, cfgs.size())));
-        std::vector<rt::OracleCapture> caps;
-        for (rt::ProgramReport &rep :
-             rt::evaluate(lp.plan(), lp.dispatchTable(), &t, chunk,
-                          lp.module().name(), oracle ? &caps : nullptr)) {
-            if (oracle) {
-                lint::applyOracle(caps.front(), rep);
-                lint::applyVerdictOracle(lp.staticVerdicts(), rep);
-            }
-            reports.push_back(std::move(rep));
+    rt::OracleCapture cap;
+    std::vector<rt::ProgramReport> reports =
+        rt::evaluate(lp.plan(), lp.dispatchTable(), &lp.trace(), cfgs,
+                     lp.module().name(), oracle ? &cap : nullptr);
+    if (oracle)
+        for (rt::ProgramReport &rep : reports) {
+            lint::applyOracle(cap, rep);
+            lint::applyVerdictOracle(lp.staticVerdicts(), rep);
         }
-    }
     return reports;
 }
 
@@ -225,10 +216,9 @@ runDifferential(std::uint64_t seed, const DiffOptions &opts)
 
     exec::setJobsOverride(1);
 
-    // Pair 1: one live interpretation fanned out to every lane engine
-    // vs the recorded trace replayed one engine at a time.  The 72
-    // Table II configurations need two engines, so the live side feeds
-    // both from one run.
+    // Pair 1: one live interpretation vs the recorded trace replayed,
+    // each feeding one lane engine with all 72 Table II
+    // configurations.
     try {
         auto mod = generateProgram(seed, opts.gen);
         core::Loopapalooza lp(*mod);

@@ -3,9 +3,8 @@
  * Differential oracles (`lp::fuzz`).
  *
  * The framework promises that one program produces byte-identical
- * reports whichever way it is driven: one live interpretation fanned
- * out to every lane engine vs a recorded trace replayed one engine at
- * a time, one worker vs many,
+ * reports whichever way it is driven: one live interpretation vs a
+ * recorded trace replayed, one worker vs many,
  * sharded-and-merged vs unsharded, killed-and-resumed vs
  * straight-through — and that lint's static classification agrees
  * with the dynamic oracle.  Each generated program is pushed
@@ -68,10 +67,9 @@ std::vector<DiffFailure> runDifferential(std::uint64_t seed,
 
 /**
  * The replayed side of the interp-vs-replay pair: @p lp's recorded
- * trace (Loopapalooza::trace) replayed by rt::evaluate in <= 64-lane
- * chunks, one engine per chunk, with one capture per chunk judged as
- * Loopapalooza::run judges its own when @p oracle is set.  It must
- * equal lp.run(cfgs, oracle) byte for byte.
+ * trace (Loopapalooza::trace) replayed by one rt::evaluate call, its
+ * capture judged as Loopapalooza::run judges its own when @p oracle is
+ * set.  It must equal lp.run(cfgs, oracle) byte for byte.
  */
 std::vector<rt::ProgramReport>
 replayReports(const core::Loopapalooza &lp,

@@ -1,23 +1,25 @@
 /**
  * @file
- * The lane engine: one event stream, up to 64 configuration lanes.
+ * The lane engine: one event stream, any number of configuration lanes.
  *
  * Every configuration of a program sees the *same* dynamic event
  * stream; the only per-configuration differences are which loops a
  * config deems eligible and how the execution model folds conflicts
  * into costs.  LaneEngine exploits that: it consumes one stream (live
- * from the interpreter via LiveFeed, which fans one run out to every
- * engine of the pass, or from trace/batch.hpp's replayDispatch) and
- * maintains the shared dynamic structure — frame stack,
- * loop-instance stack, iteration counters, register-def timestamps,
- * one shadow write-map per instance, oracle evidence — exactly once,
- * while the per-lane model state (savings, slowest-iteration
- * accumulators, conflict flags, HELIX deltas) lives in parallel arrays
- * indexed [instanceSlot * L + lane].  The hot loop is therefore
- * `for event { decode; for lane in mask { apply } }`, and the per-lane
- * work only triggers at boundaries, conflicts and phi resolutions.
+ * from the interpreter via LiveFeed, or from trace/batch.hpp's
+ * replayDispatch) and maintains the shared dynamic structure — frame
+ * stack, loop-instance stack, iteration counters, register-def
+ * timestamps, one shadow write-map per instance, oracle evidence —
+ * exactly once, while the per-lane model state (savings,
+ * slowest-iteration accumulators, HELIX deltas) lives in parallel
+ * arrays indexed [instanceSlot * L + lane] and the lane sets (model
+ * masks, eligibility, conflict flags) are W = ceil(L / 64) words each.
+ * The hot loop is therefore `for event { decode; for lane in set {
+ * apply } }`, and the per-lane work only triggers at boundaries,
+ * conflicts and phi resolutions.
  *
- * Shared-state soundness argument (why one copy suffices):
+ * Shared-state soundness argument (why one copy suffices, whatever
+ * the lane count):
  *  - frame/instance structure, entry/iteration timestamps, curIter and
  *    the stack-pointer samples depend only on the event stream;
  *  - register def timestamps are written under per-lane gates, but the
@@ -61,46 +63,84 @@ using ir::Instruction;
 
 namespace {
 
-/** Applies one event stream to up to 64 configuration lanes. */
+/**
+ * Lane sets.  A set over L lanes is W = ceil(L / 64) words, lane l
+ * being bit l % 64 of word l / 64; a row of sets (one per loop ordinal
+ * or instance slot) is one flat vector, set r at [r * W, r * W + W).
+ */
+struct LaneSet
+{
+    static std::size_t words(std::size_t lanes) { return (lanes + 63) / 64; }
+    static std::uint64_t bit(std::size_t l)
+    {
+        return std::uint64_t{1} << (l % 64);
+    }
+    static bool has(const std::uint64_t *set, std::size_t l)
+    {
+        return (set[l / 64] & bit(l)) != 0;
+    }
+    static void add(std::uint64_t *set, std::size_t l)
+    {
+        set[l / 64] |= bit(l);
+    }
+    static bool any(const std::uint64_t *set, std::size_t W)
+    {
+        return std::any_of(set, set + W,
+                           [](std::uint64_t w) { return w != 0; });
+    }
+    /** Calls @p fn(lane) for each lane of word @p w that is in @p bits. */
+    template <typename Fn>
+    static void forEach(std::size_t w, std::uint64_t bits, Fn &&fn)
+    {
+        for (; bits; bits &= bits - 1)
+            fn(static_cast<unsigned>(w * 64 + std::countr_zero(bits)));
+    }
+};
+
+/** Applies one event stream to any number of configuration lanes. */
 class LaneEngine
 {
   public:
     LaneEngine(const ModulePlan &plan, const trace::BatchDispatchTable &table,
                const std::vector<LPConfig> &cfgs, OracleCapture *oracle)
         : plan_(plan), table_(table), cfgs_(cfgs), L_(cfgs.size()),
-          oracle_(oracle)
+          W_(LaneSet::words(L_)), oracle_(oracle)
     {
-        panicIf(L_ == 0 || L_ > kMaxLanes,
-                "engine lane count out of range");
+        panicIf(L_ == 0, "engine without lanes");
 
         laneModel_.resize(L_);
         lanePdoallThr_.resize(L_);
+        for (std::vector<std::uint64_t> *m :
+             {&doallMask_, &pdoallMask_, &helixMask_, &dep1Mask_,
+              &dep2Mask_, &reduc0Mask_, &singleSyncMask_})
+            m->assign(W_, 0);
         for (std::size_t l = 0; l < L_; ++l) {
             const LPConfig &cfg = cfgs_[l];
             cfg.validate();
-            const std::uint64_t bit = std::uint64_t{1} << l;
             laneModel_[l] = cfg.model;
             lanePdoallThr_[l] = cfg.pdoallSerialThreshold;
-            switch (cfg.model) {
-              case ExecModel::DoAll:        doallMask_ |= bit; break;
-              case ExecModel::PartialDoAll: pdoallMask_ |= bit; break;
-              case ExecModel::Helix:        helixMask_ |= bit; break;
-            }
+            std::vector<std::uint64_t> &modelMask =
+                cfg.model == ExecModel::DoAll          ? doallMask_
+                : cfg.model == ExecModel::PartialDoAll ? pdoallMask_
+                                                       : helixMask_;
+            LaneSet::add(modelMask.data(), l);
             if (cfg.dep == 1)
-                dep1Mask_ |= bit;
+                LaneSet::add(dep1Mask_.data(), l);
             if (cfg.dep == 2)
-                dep2Mask_ |= bit;
+                LaneSet::add(dep2Mask_.data(), l);
             if (cfg.reduc == 0)
-                reduc0Mask_ |= bit;
+                LaneSet::add(reduc0Mask_.data(), l);
             if (cfg.singleSyncDoacross)
-                singleSyncMask_ |= bit;
+                LaneSet::add(singleSyncMask_.data(), l);
         }
 
         // Per-loop lane facts: the static verdict each lane bakes in,
         // the tracked-prefix length (reductions are demoted to tracked
         // LCDs under reduc0) and the report each lane accumulates.
         const std::size_t numLoops = plan.numLoops();
-        eligMask_.assign(numLoops, 0);
+        eligMask_.assign(numLoops * W_, 0);
+        anyElig_.assign(numLoops, 0);
+        anyEligReduc0_.assign(numLoops, 0);
         ncCount_.resize(numLoops);
         trackedAllCount_.resize(numLoops);
         laneTracked_.resize(numLoops * L_);
@@ -118,7 +158,7 @@ class LaneEngine
                     const SerialReason verdict =
                         staticVerdict(lplan, *fp, plan, cfg);
                     if (verdict == SerialReason::None)
-                        eligMask_[ord] |= std::uint64_t{1} << l;
+                        LaneSet::add(&eligMask_[ord * W_], l);
                     laneTracked_[ord * L_ + l] = static_cast<unsigned>(
                         cfg.reduc == 0 ? lplan.trackedAll.size()
                                        : lplan.nonComputable.size());
@@ -126,6 +166,11 @@ class LaneEngine
                     rep.label = lplan.loop ? lplan.loop->label() : "<?>";
                     rep.depth = lplan.loop ? lplan.loop->depth() : 0;
                     rep.staticReason = verdict;
+                }
+                for (std::size_t w = 0; w < W_; ++w) {
+                    const std::uint64_t e = eligMask_[ord * W_ + w];
+                    anyElig_[ord] |= e != 0;
+                    anyEligReduc0_[ord] |= (e & reduc0Mask_[w]) != 0;
                 }
                 if (oracle_ && lplan.loop)
                     registerOracleWatches(lplan);
@@ -210,10 +255,10 @@ class LaneEngine
             // tracked prefix.  The written value is config-independent
             // and lanes failing the gate never read the slot, so one
             // write serves every passing lane.
-            std::uint64_t m = eligMask_[w.loopOrdinal];
-            if (w.regIndex >= ncCount_[w.loopOrdinal])
-                m &= reduc0Mask_;
-            if (!m || w.regIndex >= trackedAllCount_[w.loopOrdinal])
+            const bool some = w.regIndex >= ncCount_[w.loopOrdinal]
+                                  ? anyEligReduc0_[w.loopOrdinal]
+                                  : anyElig_[w.loopOrdinal];
+            if (!some || w.regIndex >= trackedAllCount_[w.loopOrdinal])
                 continue;
             for (std::size_t i = instStack_.size(); i > f.loopLo;) {
                 BInst &inst = instStack_[--i];
@@ -233,7 +278,7 @@ class LaneEngine
         PhiState &st = phiState(phi);
         if (st.oracleSlot >= 0)
             observeOracle(st, bits);
-        if (!st.activeMask)
+        if (!st.anyActive)
             return; // not a dep2-tracked LCD in any lane
         // Only the top-of-stack instance of the phi's own loop observes
         // the resolution.
@@ -254,23 +299,20 @@ class LaneEngine
         st.stats.mispredicts += 1;
 
         const std::size_t B = inst.base;
-        std::uint64_t hm = st.activeMask & helixMask_;
-        if (hm) {
-            const std::uint64_t off =
-                regPrevOff_[inst.regsBase + st.idx];
-            for (std::uint64_t m = hm; m; m &= m - 1) {
-                const unsigned l =
-                    static_cast<unsigned>(std::countr_zero(m));
+        const std::uint64_t off = regPrevOff_[inst.regsBase + st.idx];
+        for (std::size_t w = 0; w < W_; ++w) {
+            const std::uint64_t hm = st.activeMask[w] & helixMask_[w];
+            LaneSet::forEach(w, hm, [&](unsigned l) {
                 dLargest_[B + l] = std::max(dLargest_[B + l], off);
                 maxProd_[B + l] = std::max(maxProd_[B + l], off);
                 minCons_[B + l] = 0; // the phi consumes at the top
-            }
-            anySyncM_[inst.slot] |= hm;
+            });
+            anySyncM_[inst.wbase + w] |= hm;
+            LaneSet::forEach(w, st.activeMask[w] & ~helixMask_[w],
+                             [&](unsigned l) {
+                                 registerConflictLane(inst, l);
+                             });
         }
-        for (std::uint64_t m = st.activeMask & ~helixMask_; m;
-             m &= m - 1)
-            registerConflictLane(
-                inst, static_cast<unsigned>(std::countr_zero(m)));
     }
 
     void
@@ -281,7 +323,7 @@ class LaneEngine
         const std::uint64_t granule = addr >> 3;
         const bool isStack = interp::Memory::isStackAddress(addr);
         for (BInst &inst : instStack_) {
-            if (!inst.eligMask)
+            if (!inst.shadow)
                 continue; // no lane tracks this loop
             if (isStack && addr >= inst.spAtIterStart)
                 continue; // iteration-private frame (cactus stack)
@@ -302,7 +344,7 @@ class LaneEngine
         const std::uint64_t granule = addr >> 3;
         const bool isStack = interp::Memory::isStackAddress(addr);
         for (BInst &inst : instStack_) {
-            if (!inst.eligMask)
+            if (!inst.shadow)
                 continue;
             if (isStack && addr >= inst.spAtIterStart)
                 continue;
@@ -317,13 +359,9 @@ class LaneEngine
     /**
      * Build every lane's report; call once after the stream ended.
      * @param serialCost the run's final clock
-     * @param publishShared count the stream's own events (load/store
-     *        events, loop instances) in the metrics; set for one engine
-     *        per stream, so a fanned-out stream counts them once
      */
     std::vector<ProgramReport>
-    finish(const std::string &name, std::uint64_t serialCost,
-           bool publishShared)
+    finish(const std::string &name, std::uint64_t serialCost)
     {
         panicIf(frameDepth_ != 0, "engine finished with live frames");
 
@@ -333,12 +371,12 @@ class LaneEngine
             (void)phi;
             if (st->stats.predictions == 0)
                 continue;
-            for (std::uint64_t m = st->activeMask; m; m &= m - 1) {
-                const std::size_t l = std::countr_zero(m);
-                LoopReport &lr = reports_[st->ord * L_ + l];
-                lr.regPredictions += st->stats.predictions;
-                lr.regMispredicts += st->stats.mispredicts;
-            }
+            for (std::size_t w = 0; w < W_; ++w)
+                LaneSet::forEach(w, st->activeMask[w], [&](unsigned l) {
+                    LoopReport &lr = reports_[st->ord * L_ + l];
+                    lr.regPredictions += st->stats.predictions;
+                    lr.regMispredicts += st->stats.mispredicts;
+                });
         }
 
         std::vector<ProgramReport> out;
@@ -346,7 +384,7 @@ class LaneEngine
         for (std::size_t l = 0; l < L_; ++l)
             out.push_back(laneReport(l, name, serialCost));
         if (obs::metricsOn())
-            publishTally(out, publishShared);
+            publishTally(out);
         return out;
     }
 
@@ -358,11 +396,10 @@ class LaneEngine
      * memConflicts, and a PDOALL lane's squashes are its conflicted
      * iterations.  A squash counter exists for each speculative model
      * with a lane in the pass; HELIX is non-speculative, so it has
-     * none.  The stream's own events (@p shared) are counted by one
-     * engine per stream.
+     * none.
      */
     void
-    publishTally(const std::vector<ProgramReport> &out, bool shared) const
+    publishTally(const std::vector<ProgramReport> &out) const
     {
         std::uint64_t loopInstances = 0;
         std::uint64_t laneConflicts = tally_.laneRegConflicts;
@@ -371,7 +408,7 @@ class LaneEngine
             if (i % L_ == 0)
                 loopInstances += reports_[i].instances;
             laneConflicts += reports_[i].memConflicts;
-            if ((pdoallMask_ >> (i % L_)) & 1)
+            if (LaneSet::has(pdoallMask_.data(), i % L_))
                 pdoallSquashes += reports_[i].conflictIterations;
         }
         std::uint64_t loopReports = 0;
@@ -379,14 +416,12 @@ class LaneEngine
             loopReports += rep.loops.size();
 
         obs::Registry &reg = obs::Registry::instance();
-        if (shared) {
-            reg.counter("engine.mem_events").add(tally_.memEvents);
-            reg.counter("engine.loop_instances").add(loopInstances);
-        }
+        reg.counter("engine.mem_events").add(tally_.memEvents);
+        reg.counter("engine.loop_instances").add(loopInstances);
         reg.counter("engine.lane_conflicts").add(laneConflicts);
-        if (pdoallMask_)
+        if (LaneSet::any(pdoallMask_.data(), W_))
             reg.counter("engine.lane_squashes.pdoall").add(pdoallSquashes);
-        if (doallMask_)
+        if (LaneSet::any(doallMask_.data(), W_))
             reg.counter("engine.lane_squashes.doall")
                 .add(tally_.doallSquashes);
         reg.counter("engine.loop_reports").add(loopReports);
@@ -408,10 +443,13 @@ class LaneEngine
         std::uint64_t spAtIterStart = 0;
         std::uint64_t curIter = 0;
         std::uint64_t memConflicts = 0; ///< same for every eligible lane
-        ShadowWriteMap *shadow = nullptr; ///< null when eligMask == 0
-        std::uint64_t eligMask = 0;
-        std::size_t slot = 0;     ///< stack depth (reused LIFO)
+        /** Null when no lane deems the loop eligible, which is all the
+         *  load/store loop tests per instance. */
+        ShadowWriteMap *shadow = nullptr;
+        const std::uint64_t *eligMask = nullptr; ///< eligMask_ row, W_ words
+        // The instance's stack depth is its slot, reused LIFO.
         std::size_t base = 0;     ///< slot * L_, into the SoA arrays
+        std::size_t wbase = 0;    ///< slot * W_, into the per-slot sets
         std::size_t regsBase = 0; ///< into the reg arenas
         std::uint32_t nRegs = 0;  ///< trackedAll.size()
         std::size_t oracleBase = 0; ///< into oracleStates_
@@ -427,7 +465,10 @@ class LaneEngine
     /** Per-phi state: shared predictor + stats, oracle slot. */
     struct PhiState
     {
-        std::uint64_t activeMask = 0; ///< dep2 ∩ eligible ∩ in-prefix
+        /** dep2 ∩ eligible ∩ in-prefix, W_ words (empty when the phi
+         *  is no tracked LCD); anyActive = some lane in it. */
+        std::vector<std::uint64_t> activeMask;
+        bool anyActive = false;
         unsigned ord = 0;
         unsigned idx = 0; ///< index into trackedAll / the reg arena
         predict::HybridPredictor pred;
@@ -488,12 +529,16 @@ class LaneEngine
                 plan_.loopByOrdinal(static_cast<unsigned>(ord));
             auto ti = lp.trackedIndex.find(phi);
             if (ti != lp.trackedIndex.end()) {
-                std::uint64_t m =
-                    eligMask_[static_cast<std::size_t>(ord)] & dep2Mask_;
-                if (ti->second >=
-                    ncCount_[static_cast<std::size_t>(ord)])
-                    m &= reduc0Mask_;
-                st->activeMask = m;
+                const auto o = static_cast<std::size_t>(ord);
+                const bool demoted = ti->second >= ncCount_[o];
+                st->activeMask.resize(W_);
+                for (std::size_t w = 0; w < W_; ++w) {
+                    std::uint64_t m = eligMask_[o * W_ + w] & dep2Mask_[w];
+                    if (demoted)
+                        m &= reduc0Mask_[w];
+                    st->activeMask[w] = m;
+                    st->anyActive |= m != 0;
+                }
                 st->ord = static_cast<unsigned>(ord);
                 st->idx = ti->second;
             }
@@ -571,9 +616,9 @@ class LaneEngine
             maxProd_.resize(n);
             minCons_.resize(n);
             cIters_.resize(n);
-            anyConflictM_.resize(slot + 1);
-            conflictedM_.resize(slot + 1);
-            anySyncM_.resize(slot + 1);
+            anyConflictM_.resize((slot + 1) * W_);
+            conflictedM_.resize((slot + 1) * W_);
+            anySyncM_.resize((slot + 1) * W_);
         }
 
         BInst inst;
@@ -582,9 +627,9 @@ class LaneEngine
         inst.entryTs = now;
         inst.iterStartTs = now;
         inst.spAtIterStart = sp;
-        inst.eligMask = eligMask_[ord];
-        inst.slot = slot;
+        inst.eligMask = &eligMask_[ord * W_];
         inst.base = slot * L_;
+        inst.wbase = slot * W_;
         inst.nRegs = static_cast<std::uint32_t>(lp.trackedAll.size());
         inst.regsBase = regsTop_;
         regsTop_ += inst.nRegs;
@@ -611,7 +656,7 @@ class LaneEngine
         }
         // A shadow map only matters to eligible lanes; every eligible
         // lane would write identical records, so one map serves them.
-        inst.shadow = inst.eligMask ? acquireShadow() : nullptr;
+        inst.shadow = anyElig_[ord] ? acquireShadow() : nullptr;
 
         const std::size_t B = inst.base;
         for (std::size_t l = 0; l < L_; ++l) {
@@ -625,9 +670,11 @@ class LaneEngine
             minCons_[B + l] = ~std::uint64_t{0};
             cIters_[B + l] = 0;
         }
-        anyConflictM_[slot] = 0;
-        conflictedM_[slot] = 0;
-        anySyncM_[slot] = 0;
+        for (std::size_t w = inst.wbase; w < inst.wbase + W_; ++w) {
+            anyConflictM_[w] = 0;
+            conflictedM_[w] = 0;
+            anySyncM_[w] = 0;
+        }
         instStack_.push_back(inst);
 
         const std::size_t ro = static_cast<std::size_t>(ord) * L_;
@@ -640,14 +687,14 @@ class LaneEngine
     void
     registerConflictLane(BInst &inst, unsigned l)
     {
-        const std::uint64_t bit = std::uint64_t{1} << l;
-        anyConflictM_[inst.slot] |= bit;
+        LaneSet::add(&anyConflictM_[inst.wbase], l);
         ++tally_.laneRegConflicts;
-        if ((pdoallMask_ & bit) && !(conflictedM_[inst.slot] & bit)) {
+        if (LaneSet::has(pdoallMask_.data(), l) &&
+            !LaneSet::has(&conflictedM_[inst.wbase], l)) {
             const std::size_t i = inst.base + l;
             pAccum_[i] += phaseSlow_[i];
             phaseSlow_[i] = 0;
-            conflictedM_[inst.slot] |= bit;
+            LaneSet::add(&conflictedM_[inst.wbase], l);
             cIters_[i] += 1;
         }
     }
@@ -659,40 +706,36 @@ class LaneEngine
                     std::uint64_t consumerOffset)
     {
         inst.memConflicts += 1;
-        const std::uint64_t m = inst.eligMask;
-        anyConflictM_[inst.slot] |= m;
         const std::size_t B = inst.base;
-        // DOALL: anyConflict alone serializes the instance.  PDOALL:
-        // the conflict squashes the current phase.
-        std::uint64_t todo = m & pdoallMask_ & ~conflictedM_[inst.slot];
-        for (std::uint64_t pm = todo; pm; pm &= pm - 1) {
-            const unsigned l =
-                static_cast<unsigned>(std::countr_zero(pm));
-            pAccum_[B + l] += phaseSlow_[B + l];
-            phaseSlow_[B + l] = 0;
-            cIters_[B + l] += 1;
-        }
-        conflictedM_[inst.slot] |= todo;
         // HELIX: synchronize producer and consumer; the delay per
         // iteration is the forward distance spread over the
         // dependence distance.
-        const std::uint64_t hm = m & helixMask_;
-        if (hm) {
-            const std::uint64_t dist = inst.curIter - rec.iter;
-            const bool fwd = rec.offset > consumerOffset;
-            const std::uint64_t delta =
-                fwd ? (rec.offset - consumerOffset + dist - 1) / dist
-                    : 0;
-            for (std::uint64_t hmm = hm; hmm; hmm &= hmm - 1) {
-                const unsigned l =
-                    static_cast<unsigned>(std::countr_zero(hmm));
+        const std::uint64_t dist = inst.curIter - rec.iter;
+        const bool fwd = rec.offset > consumerOffset;
+        const std::uint64_t delta =
+            fwd ? (rec.offset - consumerOffset + dist - 1) / dist : 0;
+        for (std::size_t w = 0; w < W_; ++w) {
+            const std::uint64_t m = inst.eligMask[w];
+            anyConflictM_[inst.wbase + w] |= m;
+            // DOALL: anyConflict alone serializes the instance.
+            // PDOALL: the conflict squashes the current phase.
+            const std::uint64_t todo =
+                m & pdoallMask_[w] & ~conflictedM_[inst.wbase + w];
+            LaneSet::forEach(w, todo, [&](unsigned l) {
+                pAccum_[B + l] += phaseSlow_[B + l];
+                phaseSlow_[B + l] = 0;
+                cIters_[B + l] += 1;
+            });
+            conflictedM_[inst.wbase + w] |= todo;
+            const std::uint64_t hm = m & helixMask_[w];
+            LaneSet::forEach(w, hm, [&](unsigned l) {
                 if (fwd)
                     dLargest_[B + l] = std::max(dLargest_[B + l], delta);
                 maxProd_[B + l] = std::max(maxProd_[B + l], rec.offset);
                 minCons_[B + l] =
                     std::min(minCons_[B + l], consumerOffset);
-            }
-            anySyncM_[inst.slot] |= hm;
+            });
+            anySyncM_[inst.wbase + w] |= hm;
         }
     }
 
@@ -702,6 +745,7 @@ class LaneEngine
     {
         BInst &inst = instStack_.back();
         const std::size_t B = inst.base;
+        const std::size_t ro = static_cast<std::size_t>(inst.ord) * L_;
         const std::uint64_t serialIterCost = now - inst.iterStartTs;
         for (std::size_t l = 0; l < L_; ++l) {
             const std::uint64_t savings =
@@ -712,7 +756,7 @@ class LaneEngine
             phaseSlow_[B + l] = std::max(phaseSlow_[B + l], adj);
         }
 
-        if (inst.eligMask && inst.nRegs) {
+        if (inst.shadow && inst.nRegs) {
             // Producer offsets of the iteration that just ended; the
             // values are config-independent, each lane reads only its
             // own tracked prefix.
@@ -724,25 +768,22 @@ class LaneEngine
             }
             // dep1 lowers the LCD to memory; under HELIX it is a
             // frequent LCD satisfied by one sync per tracked register.
-            std::uint64_t hm = inst.eligMask & dep1Mask_ & helixMask_;
-            for (std::uint64_t m = hm; m; m &= m - 1) {
-                const unsigned l =
-                    static_cast<unsigned>(std::countr_zero(m));
-                const unsigned lt =
-                    laneTracked_[static_cast<std::size_t>(inst.ord) *
-                                     L_ +
-                                 l];
-                if (lt == 0)
-                    continue;
-                for (unsigned r = 0; r < lt; ++r) {
-                    const std::uint64_t off =
-                        regPrevOff_[inst.regsBase + r];
-                    dLargest_[B + l] = std::max(dLargest_[B + l], off);
-                    maxProd_[B + l] = std::max(maxProd_[B + l], off);
-                }
-                minCons_[B + l] = 0; // the phi consumes at the top
-                anySyncM_[inst.slot] |= std::uint64_t{1} << l;
-            }
+            for (std::size_t w = 0; w < W_; ++w)
+                LaneSet::forEach(
+                    w, inst.eligMask[w] & dep1Mask_[w] & helixMask_[w],
+                    [&](unsigned l) {
+                        const unsigned lt = laneTracked_[ro + l];
+                        if (lt == 0)
+                            return;
+                        for (unsigned r = 0; r < lt; ++r) {
+                            const std::uint64_t off =
+                                regPrevOff_[inst.regsBase + r];
+                            dLargest_[B + l] = std::max(dLargest_[B + l], off);
+                            maxProd_[B + l] = std::max(maxProd_[B + l], off);
+                        }
+                        minCons_[B + l] = 0; // the phi consumes at the top
+                        LaneSet::add(&anySyncM_[inst.wbase], l);
+                    });
         }
 
         inst.curIter += 1;
@@ -750,17 +791,17 @@ class LaneEngine
         inst.spAtIterStart = sp;
         for (std::size_t l = 0; l < L_; ++l)
             ciSavings_[B + l] = 0;
-        conflictedM_[inst.slot] = 0;
 
         // dep1 under a speculative model: the lowered LCD conflicts at
         // the top of every iteration after the first.
-        std::uint64_t cm = inst.eligMask & dep1Mask_ & ~helixMask_;
-        for (std::uint64_t m = cm; m; m &= m - 1) {
-            const unsigned l =
-                static_cast<unsigned>(std::countr_zero(m));
-            if (laneTracked_[static_cast<std::size_t>(inst.ord) * L_ +
-                             l] != 0)
-                registerConflictLane(inst, l);
+        for (std::size_t w = 0; w < W_; ++w) {
+            conflictedM_[inst.wbase + w] = 0;
+            LaneSet::forEach(
+                w, inst.eligMask[w] & dep1Mask_[w] & ~helixMask_[w],
+                [&](unsigned l) {
+                    if (laneTracked_[ro + l] != 0)
+                        registerConflictLane(inst, l);
+                });
         }
     }
 
@@ -793,12 +834,16 @@ class LaneEngine
 
         // DOALL is all-or-nothing speculation: any conflict discards
         // the whole instance's parallel execution.
-        tally_.doallSquashes += static_cast<std::uint64_t>(std::popcount(
-            inst.eligMask & doallMask_ & anyConflictM_[inst.slot]));
+        const std::uint64_t *anyConflict = &anyConflictM_[inst.wbase];
+        const std::uint64_t *anySync = &anySyncM_[inst.wbase];
+        for (std::size_t w = 0; w < W_; ++w)
+            tally_.doallSquashes += static_cast<std::uint64_t>(
+                std::popcount(inst.eligMask[w] & doallMask_[w] &
+                              anyConflict[w]));
 
         const std::size_t ro = static_cast<std::size_t>(inst.ord) * L_;
         for (std::size_t l = 0; l < L_; ++l) {
-            const std::uint64_t bit = std::uint64_t{1} << l;
+            const bool eligible = LaneSet::has(inst.eligMask, l);
             const std::uint64_t tailSavings =
                 std::min(ciSavings_[B + l], tailSerial);
             const std::uint64_t tailAdj = tailSerial - tailSavings;
@@ -809,10 +854,10 @@ class LaneEngine
             // Apply the execution model.
             bool parallelized = false;
             std::uint64_t parallel = adjSerial;
-            if ((inst.eligMask & bit) && inst.curIter > 0) {
+            if (eligible && inst.curIter > 0) {
                 switch (laneModel_[l]) {
                   case ExecModel::DoAll:
-                    if (!(anyConflictM_[inst.slot] & bit)) {
+                    if (!LaneSet::has(anyConflict, l)) {
                         parallel = iterSlow_[B + l] + tailAdj;
                         parallelized = true;
                     }
@@ -834,9 +879,9 @@ class LaneEngine
                     // spanning from the first consumer to the last
                     // producer of the iteration.
                     std::uint64_t delta = dLargest_[B + l];
-                    if (singleSyncMask_ & bit) {
+                    if (LaneSet::has(singleSyncMask_.data(), l)) {
                         delta = 0;
-                        if ((anySyncM_[inst.slot] & bit) &&
+                        if (LaneSet::has(anySync, l) &&
                             maxProd_[B + l] > minCons_[B + l])
                             delta = maxProd_[B + l] - minCons_[B + l];
                     }
@@ -861,8 +906,7 @@ class LaneEngine
             rep.serialCost += rawSerial;
             rep.adjustedCost += adjSerial;
             rep.parallelCost += parallel;
-            rep.memConflicts +=
-                (inst.eligMask & bit) ? inst.memConflicts : 0;
+            rep.memConflicts += eligible ? inst.memConflicts : 0;
             rep.conflictIterations += cIters_[B + l];
             if (!parallelized)
                 rep.serializedInstances += 1;
@@ -934,10 +978,10 @@ class LaneEngine
                     c.infrequentMemLcdLoops += 1;
             }
         }
-        const std::uint64_t bit = std::uint64_t{1} << l;
         for (const auto &[phi, st] : phiStates_) {
             (void)phi;
-            if (st->stats.predictions == 0 || !(st->activeMask & bit))
+            if (st->stats.predictions == 0 ||
+                !LaneSet::has(st->activeMask.data(), l))
                 continue;
             double hit = 1.0 - static_cast<double>(st->stats.mispredicts) /
                                    static_cast<double>(st->stats.predictions);
@@ -964,10 +1008,14 @@ class LaneEngine
     const trace::BatchDispatchTable &table_;
     const std::vector<LPConfig> cfgs_;
     const std::size_t L_;
+    const std::size_t W_; ///< words per lane set
     OracleCapture *const oracle_;
 
-    // Per-ordinal lane facts (flat, [ord * L_ + lane]).
+    // Per-ordinal lane facts (flat, [ord * L_ + lane]; the eligible
+    // lane sets [ord * W_ + word], with their any-lane summaries).
     std::vector<std::uint64_t> eligMask_;
+    std::vector<std::uint8_t> anyElig_;
+    std::vector<std::uint8_t> anyEligReduc0_;
     std::vector<unsigned> ncCount_;
     std::vector<unsigned> trackedAllCount_;
     std::vector<unsigned> laneTracked_;
@@ -976,13 +1024,14 @@ class LaneEngine
     // Per-lane configuration facts.
     std::vector<ExecModel> laneModel_;
     std::vector<double> lanePdoallThr_;
-    std::uint64_t doallMask_ = 0;
-    std::uint64_t pdoallMask_ = 0;
-    std::uint64_t helixMask_ = 0;
-    std::uint64_t dep1Mask_ = 0;
-    std::uint64_t dep2Mask_ = 0;
-    std::uint64_t reduc0Mask_ = 0;
-    std::uint64_t singleSyncMask_ = 0;
+    // Per-lane configuration facts as lane sets (W_ words each).
+    std::vector<std::uint64_t> doallMask_;
+    std::vector<std::uint64_t> pdoallMask_;
+    std::vector<std::uint64_t> helixMask_;
+    std::vector<std::uint64_t> dep1Mask_;
+    std::vector<std::uint64_t> dep2Mask_;
+    std::vector<std::uint64_t> reduc0Mask_;
+    std::vector<std::uint64_t> singleSyncMask_;
 
     /** What the pass saw that no report holds, published by
      *  publishTally(): load/store events (shared, counted once),
@@ -1015,7 +1064,7 @@ class LaneEngine
     std::vector<std::uint64_t> maxProd_;   ///< DOACROSS single-sync
     std::vector<std::uint64_t> minCons_;
     std::vector<std::uint64_t> cIters_;    ///< conflicted iterations
-    // Per-instance-slot lane-bit flags.
+    // Per-instance-slot lane sets ([slot * W_ + word]).
     std::vector<std::uint64_t> anyConflictM_;
     std::vector<std::uint64_t> conflictedM_; ///< this iteration
     std::vector<std::uint64_t> anySyncM_;
@@ -1043,18 +1092,16 @@ class LaneEngine
 };
 
 /**
- * The live event source: an interpreter sink that hands every engine
- * of the pass the samples trace::replayDispatch would have
- * reconstructed — block id, the clock before and after the block's
- * charge, the stack pointer, and the precise clock at each load and
- * store.  One interpretation thus feeds any number of engines.
+ * The live event source: an interpreter sink that hands the engine
+ * the samples trace::replayDispatch would have reconstructed — block
+ * id, the clock before and after the block's charge, the stack
+ * pointer, and the precise clock at each load and store.
  */
 class LiveFeed : public interp::ExecListener
 {
   public:
-    LiveFeed(const std::vector<std::unique_ptr<LaneEngine>> &engines,
-             const trace::BatchDispatchTable &table)
-        : engines_(engines), table_(table)
+    LiveFeed(LaneEngine &engine, const trace::BatchDispatchTable &table)
+        : engine_(engine), table_(table)
     {}
 
     void attach(const interp::Machine &m) { machine_ = &m; }
@@ -1062,16 +1109,13 @@ class LiveFeed : public interp::ExecListener
     void
     onFunctionEnter(const ir::Function *fn) override
     {
-        for (const auto &e : engines_)
-            e->onFuncEnter(fn);
+        engine_.onFuncEnter(fn);
     }
 
     void
     onFunctionExit(const ir::Function *) override
     {
-        const std::uint64_t now = machine_->cost();
-        for (const auto &e : engines_)
-            e->onFuncExit(now);
+        engine_.onFuncExit(machine_->cost());
     }
 
     void
@@ -1081,39 +1125,33 @@ class LiveFeed : public interp::ExecListener
         const trace::BatchDispatchTable::BlockInfo &bi = table_.blocks[id];
         inHeader_ = bi.headerOrdinal >= 0;
         const std::uint64_t now = machine_->cost();
-        const std::uint64_t sp = machine_->stackPointer();
-        for (const auto &e : engines_)
-            e->onBlockEnter(id, bi, now - bi.size, now, sp);
+        engine_.onBlockEnter(id, bi, now - bi.size, now,
+                             machine_->stackPointer());
     }
 
     void
     onPhiResolved(const Instruction *phi, std::uint64_t bits) override
     {
         // Phis resolve at the top of the block just entered; like the
-        // Recorder, only loop headers' phis reach the engines.
+        // Recorder, only loop headers' phis reach the engine.
         if (inHeader_)
-            for (const auto &e : engines_)
-                e->onPhi(phi, bits);
+            engine_.onPhi(phi, bits);
     }
 
     void
     onLoad(const Instruction *instr, std::uint64_t addr) override
     {
-        const std::uint64_t now = machine_->preciseCost();
-        for (const auto &e : engines_)
-            e->onLoad(instr, addr, now);
+        engine_.onLoad(instr, addr, machine_->preciseCost());
     }
 
     void
     onStore(const Instruction *instr, std::uint64_t addr) override
     {
-        const std::uint64_t now = machine_->preciseCost();
-        for (const auto &e : engines_)
-            e->onStore(instr, addr, now);
+        engine_.onStore(instr, addr, machine_->preciseCost());
     }
 
   private:
-    const std::vector<std::unique_ptr<LaneEngine>> &engines_;
+    LaneEngine &engine_;
     const trace::BatchDispatchTable &table_;
     const interp::Machine *machine_ = nullptr;
     bool inHeader_ = false;
@@ -1169,7 +1207,7 @@ recordTrace(const ir::Module &mod, const trace::BatchDispatchTable &table,
 std::vector<ProgramReport>
 evaluate(const ModulePlan &plan, const trace::BatchDispatchTable &table,
          const trace::Trace *t, const std::vector<LPConfig> &cfgs,
-         const std::string &name, std::vector<OracleCapture> *oracles)
+         const std::string &name, OracleCapture *oracle)
 {
     if (cfgs.empty())
         return {};
@@ -1182,36 +1220,24 @@ evaluate(const ModulePlan &plan, const trace::BatchDispatchTable &table,
                       std::to_string(table.functions.size()) + " / " +
                       std::to_string(table.blocks.size()) + ")");
 
-    const std::size_t numEngines = (cfgs.size() + kMaxLanes - 1) / kMaxLanes;
-    if (oracles && oracles->size() < numEngines)
-        oracles->resize(numEngines); // before any engine holds a capture
-    std::vector<std::unique_ptr<LaneEngine>> engines;
+    std::unique_ptr<LaneEngine> engine;
     {
         prof::ScopedPhase phase("plan");
-        for (std::size_t k = 0; k < numEngines; ++k) {
-            guard::faultPoint("engine");
-            const auto lo = static_cast<std::ptrdiff_t>(k * kMaxLanes);
-            const auto hi = static_cast<std::ptrdiff_t>(
-                std::min((k + 1) * kMaxLanes, cfgs.size()));
-            engines.push_back(std::make_unique<LaneEngine>(
-                plan, table,
-                std::vector<LPConfig>(cfgs.begin() + lo, cfgs.begin() + hi),
-                oracles ? &(*oracles)[k] : nullptr));
-        }
+        guard::faultPoint("engine");
+        engine = std::make_unique<LaneEngine>(plan, table, cfgs, oracle);
     }
     std::uint64_t finalCost = 0;
     if (t) {
-        // Test and benchmark source: one decode of the trace per engine.
+        // Test and benchmark source: one decode of the trace.
         prof::ScopedPhase phase("replay_batch");
-        for (const auto &e : engines)
-            trace::replayDispatch(table, *t, *e);
+        trace::replayDispatch(table, *t, *engine);
         finalCost = t->finalCost;
         // Every lane advanced by the whole clock.
         phase.addInstructions(finalCost *
                               static_cast<std::uint64_t>(cfgs.size()));
     } else {
         prof::ScopedPhase phase("interpret");
-        LiveFeed feed(engines, table);
+        LiveFeed feed(*engine, table);
         interp::Machine machine(plan.module(), &feed);
         feed.attach(machine);
         machine.run();
@@ -1220,15 +1246,10 @@ evaluate(const ModulePlan &plan, const trace::BatchDispatchTable &table,
     }
 
     prof::ScopedPhase phase("report");
-    std::vector<ProgramReport> reports;
-    reports.reserve(cfgs.size());
-    for (std::size_t k = 0; k < numEngines; ++k)
-        for (ProgramReport &rep : engines[k]->finish(name, finalCost, k == 0))
-            reports.push_back(std::move(rep));
-    LP_LOG_INFO("%s: %zu configuration lane(s) in %zu engine(s) from one "
-                "%s stream, final cost %llu",
-                name.c_str(), cfgs.size(), numEngines,
-                t ? "replayed" : "live",
+    std::vector<ProgramReport> reports = engine->finish(name, finalCost);
+    LP_LOG_INFO("%s: %zu configuration lane(s) from one %s stream, final "
+                "cost %llu",
+                name.c_str(), cfgs.size(), t ? "replayed" : "live",
                 static_cast<unsigned long long>(finalCost));
     return reports;
 }

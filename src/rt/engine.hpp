@@ -1,31 +1,31 @@
 /**
  * @file
  * The limit-study engine: one pass over one program's event stream
- * evaluates every requested configuration, 64 lanes per engine.
+ * evaluates every requested configuration in one lane engine.
  *
  * The paper's method is "instrument once, run once, evaluate every
  * execution model from the stream" (Section III).  evaluate() is that
  * method: it consumes one event stream — fed live by the interpreter,
  * or decoded from a recorded trace — and applies every event to all
- * the configuration lanes of an engine in one structure-of-arrays sweep
+ * the configuration lanes of the pass in one structure-of-arrays sweep
  * (rt/engine.cpp).  It is the only implementation of the model
  * algebra: dynamic loop instances, memory and register conflicts,
  * PDOALL phases and the serial threshold, the HELIX delta, nested
  * savings propagation, predictor statistics and report assembly.
  *
  * Event sources.  A pass is fed live: one interpreter run (the
- * paper's instrumented binary) drives every engine of the pass, one
- * engine per 64 configurations, so a pass costs one interpretation
- * whatever its lane count.  Nothing is written down first.  A recorded
+ * paper's instrumented binary) drives the pass's one engine, so a pass
+ * costs one interpretation whatever its lane count.  Nothing is
+ * written down first.  A recorded
  * trace (recordTrace + trace::replayDispatch) is the other source; it
  * has no production user and serves tests and the benchmark's traced
  * pass.  Reports are byte-identical either way.
  *
- * Consistency oracle.  With captures attached, each engine also
- * streams every watched header phi through its own capture's
+ * Consistency oracle.  With a capture attached, the engine also
+ * streams every watched header phi through the capture's
  * finite-difference checks.  The watches and their evidence depend
  * only on the event stream, not on the configuration, so one capture
- * serves every lane of its engine; lp::lint judges it per lane.
+ * serves every lane; lp::lint judges it per lane.
  *
  * Failure taxonomy: a trace that does not match the module, or any
  * malformed stream, raises lp::IoError (LP_IO); the interpreter's own
@@ -48,9 +48,6 @@
 
 namespace lp::rt {
 
-/** Most configuration lanes one pass evaluates (lane sets are masks). */
-constexpr std::size_t kMaxLanes = 64;
-
 /**
  * The dispatch table of plan.module() (trace::buildBatchDispatchTable)
  * with the compile-time loop facts filled in: the loop each header
@@ -70,26 +67,22 @@ trace::Trace recordTrace(const ir::Module &mod,
 
 /**
  * Evaluate @p cfgs (any number of them) over one event stream, in one
- * engine per kMaxLanes configurations.  Reports come back in @p cfgs
- * order, named @p name.  Each engine passes the "engine" fault site
- * (guard/fault.hpp) before the stream starts.
+ * lane engine.  Reports come back in @p cfgs order, named @p name.
+ * The engine passes the "engine" fault site (guard/fault.hpp) before
+ * the stream starts.
  *
- * @param t null interprets plan.module() once and feeds every engine
- *        live; otherwise the recorded trace to replay, decoded once
- *        per engine.
- * @param oracles when non-null, grown to one capture per engine
- *        (captures already present, e.g. with forced claims, are
- *        kept); engine k registers its watches in (*oracles)[k] and
- *        streams every watched phi through it, so lane i is judged
- *        from (*oracles)[i / kMaxLanes].  Null keeps the hot path
- *        oracle-free.
+ * @param t null interprets plan.module() once and feeds the engine
+ *        live; otherwise the recorded trace to replay, decoded once.
+ * @param oracle when non-null, the capture (possibly already holding
+ *        forced claims) the engine registers its watches in and
+ *        streams every watched phi through; it is every lane's
+ *        evidence.  Null keeps the hot path oracle-free.
  * @throws lp::IoError when @p t does not match the module or is
  *         malformed.
  */
 std::vector<ProgramReport>
 evaluate(const ModulePlan &plan, const trace::BatchDispatchTable &table,
          const trace::Trace *t, const std::vector<LPConfig> &cfgs,
-         const std::string &name,
-         std::vector<OracleCapture> *oracles = nullptr);
+         const std::string &name, OracleCapture *oracle = nullptr);
 
 } // namespace lp::rt

@@ -7,7 +7,7 @@
  * (pure functions of the iteration index).  When a capture is attached,
  * the limit-study engine (rt/engine.hpp) streams every resolved value of
  * the watched phis through an order-(depth+1) finite-difference check
- * — one capture per lane engine, shared by all its lanes: a phi whose
+ * — one capture per pass, shared by all its lanes: a phi whose
  * evolution really is a degree-depth polynomial recurrence has an
  * identically-zero (depth+1)-th difference (all arithmetic mod 2^64,
  * matching the interpreter).  The check is O(1) memory per instance and

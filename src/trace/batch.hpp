@@ -24,7 +24,7 @@
  *
  * The Sink is a template parameter so the per-event callbacks inline
  * into the decode loop; rt's lane engine (rt/engine.cpp) applies each
- * resolved event to up to 64 configuration lanes in one SoA pass.
+ * resolved event to every configuration lane in one SoA pass.
  */
 
 #pragma once

@@ -3,8 +3,8 @@
  * Tests for the lane engine's shape (src/rt/engine.* + the core front
  * ends).  tests/test_golden.cpp pins the reports themselves; this file
  * holds the properties around them: a configuration's report does not
- * depend on how many lanes share its pass or where a 64-lane chunk
- * boundary falls, one interpretation feeds every engine of a run, the
+ * depend on how many lanes share its pass or where a lane-set word
+ * boundary falls, one interpretation feeds the one engine of a run, the
  * live stream reports what the recorded trace replays to, malformed
  * inputs fail with LP_IO, the dispatch table covers the module, and the
  * engine's metrics count each event once.
@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "core/study.hpp"
 #include "core/sweep.hpp"
 #include "fuzz/differential.hpp"
+#include "guard/fault.hpp"
 #include "helpers.hpp"
 #include "interp/machine.hpp"
 #include "obs/metrics.hpp"
@@ -55,36 +57,19 @@ allShapes()
     return out;
 }
 
-/** The full paper grid plus single-sync HELIX variants — every model,
- *  every dep/reduc/fn axis, both DOACROSS synchronization modes. */
+/** The 72 Table II configurations plus single-sync HELIX variants —
+ *  every model, every dep/reduc/fn axis, both DOACROSS synchronization
+ *  modes: 74 lanes. */
 std::vector<LPConfig>
 fullGrid()
 {
-    std::vector<LPConfig> grid;
-    for (const core::NamedConfig &named : core::paperConfigs())
-        grid.push_back(named.config);
-    LPConfig ss = LPConfig::parse("reduc0-dep1-fn2", ExecModel::Helix);
-    ss.singleSyncDoacross = true;
-    grid.push_back(ss);
-    ss = LPConfig::parse("reduc1-dep1-fn2", ExecModel::Helix);
-    ss.singleSyncDoacross = true;
-    grid.push_back(ss);
-    grid.push_back(LPConfig::parse("reduc0-dep2-fn2", ExecModel::Helix));
-    grid.push_back(
-        LPConfig::parse("reduc1-dep3-fn3", ExecModel::PartialDoAll));
+    std::vector<LPConfig> grid = core::tableTwoConfigs();
+    for (const char *flags : {"reduc0-dep1-fn2", "reduc1-dep1-fn2"}) {
+        LPConfig ss = LPConfig::parse(flags, ExecModel::Helix);
+        ss.singleSyncDoacross = true;
+        grid.push_back(ss);
+    }
     return grid;
-}
-
-/** 5 x fullGrid() = 90 lanes: two engines, the second starting
- *  mid-repetition. */
-std::vector<LPConfig>
-twoEngineGrid()
-{
-    const std::vector<LPConfig> grid = fullGrid();
-    std::vector<LPConfig> many;
-    for (int rep = 0; rep < 5; ++rep)
-        many.insert(many.end(), grid.begin(), grid.end());
-    return many;
 }
 
 std::string
@@ -104,35 +89,58 @@ dumps(const std::vector<rt::ProgramReport> &reps)
 
 // ------------------------------------------- lane-count independence
 
-TEST(BatchTest, OneLanePassesMatchTheFullGridPass)
+TEST(BatchTest, EveryLaneMatchesItsOwnOneLanePass)
 {
+    // Passes of fullGrid() lanes (by index): the grid repeated to lane
+    // counts around one, two and three 64-lane words, up to twice over,
+    // so every configuration runs in two different words; and 64
+    // reduc1-dep0-fn0 DOALL lanes, then HELIX lanes that alone deem the
+    // LCD and call loops eligible and alone track reductions (reduc0).
+    // A lane set that drops, duplicates or shifts a bit across a word
+    // boundary breaks a lane on one side of it, live or replayed.
     const std::vector<LPConfig> grid = fullGrid();
+    auto at = [&](const char *flags, ExecModel model) {
+        return static_cast<std::size_t>(
+            std::find(grid.begin(), grid.end(),
+                      LPConfig::parse(flags, model)) -
+            grid.begin());
+    };
+    std::vector<std::vector<std::size_t>> passes;
+    for (std::size_t n : {63u, 64u, 65u, 128u, 148u}) {
+        passes.emplace_back();
+        for (std::size_t i = 0; i < n; ++i)
+            passes.back().push_back(i % grid.size());
+    }
+    passes.emplace_back(64, at("reduc1-dep0-fn0", ExecModel::DoAll));
+    passes.back().push_back(at("reduc0-dep1-fn3", ExecModel::Helix));
+    passes.back().push_back(at("reduc1-dep3-fn3", ExecModel::Helix));
     for (auto &[name, mod] : allShapes()) {
         Loopapalooza lp(*mod);
-        const std::vector<std::string> batched = dumps(lp.run(grid));
-        ASSERT_EQ(batched.size(), grid.size()) << name;
-        for (std::size_t i = 0; i < grid.size(); ++i)
-            EXPECT_EQ(batched[i], dump(lp.run({grid[i]}).front()))
-                << name << " lane " << i << " under " << grid[i].str();
+        for (bool oracle : {false, true}) {
+            std::vector<std::string> single;
+            for (const LPConfig &cfg : grid)
+                single.push_back(dump(lp.run({cfg}, oracle).front()));
+            for (const std::vector<std::size_t> &pass : passes) {
+                std::vector<LPConfig> many;
+                for (std::size_t g : pass)
+                    many.push_back(grid[g]);
+                const std::vector<std::string> live =
+                    dumps(lp.run(many, oracle));
+                const std::vector<std::string> replayed =
+                    dumps(fuzz::replayReports(lp, many, oracle));
+                ASSERT_EQ(live.size(), pass.size());
+                ASSERT_EQ(replayed.size(), pass.size());
+                for (std::size_t i = 0; i < pass.size(); ++i) {
+                    EXPECT_EQ(live[i], single[pass[i]])
+                        << name << " live lane " << i << " of "
+                        << pass.size() << (oracle ? " with the oracle" : "");
+                    EXPECT_EQ(replayed[i], single[pass[i]])
+                        << name << " replayed lane " << i << " of "
+                        << pass.size() << (oracle ? " with the oracle" : "");
+                }
+            }
+        }
     }
-}
-
-TEST(BatchTest, ChunkBoundaryAt64LanesIsSeamless)
-{
-    // 5 x 18 = 90 lanes: the second chunk starts mid-repetition, so any
-    // cross-chunk state leak (shared predictor, shadow pool, epoch
-    // carry-over) would break a lane on one side of the boundary.
-    auto mod = test::buildPointerChaseShuffled(64);
-    Loopapalooza lp(*mod);
-    const std::vector<LPConfig> grid = fullGrid();
-    const std::vector<LPConfig> many = twoEngineGrid();
-    ASSERT_GT(many.size(), rt::kMaxLanes);
-
-    const std::vector<std::string> batched = dumps(lp.run(many));
-    ASSERT_EQ(batched.size(), many.size());
-    const std::vector<std::string> single = dumps(lp.run(grid));
-    for (std::size_t i = 0; i < many.size(); ++i)
-        EXPECT_EQ(batched[i], single[i % grid.size()]) << "lane " << i;
 }
 
 TEST(BatchTest, EmptyConfigListYieldsNoReports)
@@ -144,11 +152,11 @@ TEST(BatchTest, EmptyConfigListYieldsNoReports)
 
 // ----------------------------------------------------- live event feed
 
-TEST(BatchTest, OneInterpretationFeedsEveryEngineOfARun)
+TEST(BatchTest, OneInterpretationFeedsTheEngineOfARun)
 {
     auto mod = test::buildHistogram(64, 8);
     const std::vector<LPConfig> grid = core::tableTwoConfigs();
-    ASSERT_EQ(grid.size(), 72u); // two engines
+    ASSERT_EQ(grid.size(), 72u); // two lane-set words
 
     const bool saved = obs::metricsOn();
     obs::setMetricsEnabled(true);
@@ -170,40 +178,18 @@ TEST(BatchTest, OneInterpretationFeedsEveryEngineOfARun)
 
     EXPECT_EQ(all.first, 1u);
     EXPECT_EQ(allOracle.first, 1u);
-    // The stream's events are counted once, not once per engine.
+    // The stream's events are counted once.
     EXPECT_GT(one.second, 0u);
     EXPECT_EQ(all.second, one.second);
     EXPECT_EQ(allOracle.second, one.second);
 
-    // The fanned-out reports are each configuration's own run's.
-    for (auto &[name, shape] : allShapes()) {
-        Loopapalooza lp(*shape);
-        for (bool oracle : {false, true}) {
-            const std::vector<std::string> fanned =
-                dumps(lp.run(grid, oracle));
-            ASSERT_EQ(fanned.size(), grid.size()) << name;
-            for (std::size_t i = 0; i < grid.size(); ++i)
-                EXPECT_EQ(fanned[i],
-                          dump(lp.run({grid[i]}, oracle).front()))
-                    << name << " lane " << i << " under " << grid[i].str()
-                    << (oracle ? " with the oracle" : "");
-        }
-    }
-}
-
-TEST(BatchTest, LiveRunsReportWhatTheRecordedTraceReplaysTo)
-{
-    // The live side fans one interpretation out to two engines; the
-    // replayed side decodes the recorded trace once per <= 64-lane
-    // chunk, with one oracle capture per chunk.
-    const std::vector<LPConfig> many = twoEngineGrid();
-    for (auto &[name, mod] : allShapes()) {
-        Loopapalooza lp(*mod);
-        for (bool oracle : {false, true})
-            EXPECT_EQ(dumps(lp.run(many, oracle)),
-                      dumps(fuzz::replayReports(lp, many, oracle)))
-                << name << (oracle ? " with the oracle" : "");
-    }
+    // One engine evaluates all 72 lanes: the engine site (passed once
+    // per engine) is hit once.
+    Loopapalooza lp(*mod);
+    guard::setFault("engine", 1000000);
+    (void)lp.run(grid);
+    EXPECT_EQ(guard::faultSiteHits("engine"), 1u);
+    guard::setFault("", 0);
 }
 
 // ------------------------------------------------------ error taxonomy

@@ -15,11 +15,10 @@
  * The digests were captured from the per-configuration tracker that
  * predates the single lane engine (one replay per cell), so this test
  * is what keeps the engine's reports identical to the model code it
- * replaced.  Every cell is recomputed here — the grid groups from one
- * interpretation per program fanned out to two 64-lane engines, the
- * oracle group in one 14-lane engine sharing one capture, once fed
- * live and once replayed from the recorded trace; a mismatch names the
- * cell and its fresh digest.
+ * replaced.  Every cell is recomputed here, in one lane engine per
+ * program (72 lanes for the grid groups, 14 sharing one capture for the
+ * oracle group), once fed live and once replayed from the recorded
+ * trace; a mismatch names the cell and its fresh digest.
  */
 
 #include <gtest/gtest.h>
@@ -128,6 +127,19 @@ checkProgram(const std::string &group, const std::string &program,
     return checked;
 }
 
+/** @p p's recorded trace replayed under @p cfgs, its reports named as
+ *  PreparedProgram::run names them. */
+std::vector<rt::ProgramReport>
+replayed(const core::PreparedProgram &p, const std::vector<LPConfig> &cfgs,
+         bool oracle)
+{
+    std::vector<rt::ProgramReport> reps =
+        fuzz::replayReports(p.driver(), cfgs, oracle);
+    for (rt::ProgramReport &rep : reps)
+        rep.program = p.name();
+    return reps;
+}
+
 std::size_t
 pinnedCells(const std::string &group)
 {
@@ -149,9 +161,12 @@ TEST(Golden, SuiteProgramsAcrossTheTableTwoGrid)
     core::Study study(suites::allPrograms());
     ASSERT_EQ(study.programs().size(), 30u);
     std::size_t checked = 0;
-    for (const auto &p : study.programs())
+    for (const auto &p : study.programs()) {
         checked += checkProgram("grid", p->name(), 0, grid, p->run(grid));
-    EXPECT_EQ(checked, pinnedCells("grid"));
+        checked += checkProgram("grid", p->name(), 0, grid,
+                                replayed(*p, grid, /*oracle=*/false));
+    }
+    EXPECT_EQ(checked, 2 * pinnedCells("grid"));
 }
 
 TEST(Golden, SuiteProgramsWithTheOracleAcrossThePaperConfigs)
@@ -159,27 +174,13 @@ TEST(Golden, SuiteProgramsWithTheOracleAcrossThePaperConfigs)
     const std::vector<LPConfig> cfgs = paperGrid();
     core::Study study(suites::allPrograms());
     std::size_t checked = 0;
-    for (const auto &p : study.programs())
+    for (const auto &p : study.programs()) {
         checked += checkProgram("oracle", p->name(), 0, cfgs,
                                 p->run(cfgs, /*oracle=*/true));
-    EXPECT_EQ(checked, pinnedCells("oracle"));
-}
-
-TEST(Golden, SuiteProgramsReplayedMatchTheSameDigests)
-{
-    // The second event source: each program's recorded trace, replayed
-    // with the oracle attached.
-    const std::vector<LPConfig> cfgs = paperGrid();
-    core::Study study(suites::allPrograms());
-    std::size_t checked = 0;
-    for (const auto &p : study.programs()) {
-        std::vector<rt::ProgramReport> reps =
-            fuzz::replayReports(p->driver(), cfgs, /*oracle=*/true);
-        for (rt::ProgramReport &rep : reps)
-            rep.program = p->name(); // as PreparedProgram::run stamps it
-        checked += checkProgram("oracle", p->name(), 0, cfgs, reps);
+        checked += checkProgram("oracle", p->name(), 0, cfgs,
+                                replayed(*p, cfgs, /*oracle=*/true));
     }
-    EXPECT_EQ(checked, pinnedCells("oracle"));
+    EXPECT_EQ(checked, 2 * pinnedCells("oracle"));
 }
 
 TEST(Golden, RandomProgramsAcrossTheTableTwoGrid)
@@ -191,8 +192,10 @@ TEST(Golden, RandomProgramsAcrossTheTableTwoGrid)
         core::Loopapalooza lp(*mod);
         checked +=
             checkProgram("random", mod->name(), seed, grid, lp.run(grid));
+        checked += checkProgram("random", mod->name(), seed, grid,
+                                fuzz::replayReports(lp, grid));
     }
-    EXPECT_EQ(checked, pinnedCells("random"));
+    EXPECT_EQ(checked, 2 * pinnedCells("random"));
 }
 
 TEST(Golden, FuzzCorpusEntriesAcrossTheTableTwoGrid)
@@ -224,8 +227,10 @@ TEST(Golden, FuzzCorpusEntriesAcrossTheTableTwoGrid)
         core::Loopapalooza lp(*mod);
         checked += checkProgram("corpus", repro.stem().string(), seed,
                                 grid, lp.run(grid));
+        checked += checkProgram("corpus", repro.stem().string(), seed,
+                                grid, fuzz::replayReports(lp, grid));
     }
-    EXPECT_EQ(checked, pinnedCells("corpus"));
+    EXPECT_EQ(checked, 2 * pinnedCells("corpus"));
 }
 
 } // namespace

@@ -449,13 +449,11 @@ runWithCapture(const Loopapalooza &lp, const LPConfig &c,
                rt::OracleCapture &cap)
 {
     auto judged = [&](const trace::Trace *t, rt::OracleCapture &seeded) {
-        std::vector<rt::OracleCapture> caps{seeded};
         ProgramReport rep =
             rt::evaluate(lp.plan(), lp.dispatchTable(), t, {c},
-                         lp.module().name(), &caps)
+                         lp.module().name(), &seeded)
                 .front();
-        lint::applyOracle(caps.front(), rep);
-        seeded = std::move(caps.front());
+        lint::applyOracle(seeded, rep);
         return rep;
     };
     rt::OracleCapture forReplay = cap;
